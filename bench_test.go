@@ -14,6 +14,7 @@ package typepre_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"typepre"
@@ -625,10 +626,10 @@ func BenchmarkE7_ProxyOnly_1MiB(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E9: bulk-disclosure pipeline — the serial per-record loop vs the
-// GOMAXPROCS-bounded worker pool over workload-generated patients. The
-// parallel path must preserve insertion order and produce byte-identical
-// plaintexts (pinned by internal/phr tests); here we measure throughput.
+// E9: bulk-disclosure pipeline — hybrid.ReEncryptStream with one worker
+// (serial) vs a GOMAXPROCS-sized pool over workload-generated patients.
+// The pool must preserve insertion order and produce byte-identical
+// plaintexts (pinned by internal/hybrid tests); here we measure throughput.
 // ---------------------------------------------------------------------------
 
 var bulkFixtures = map[int]*phr.BulkFixture{}
@@ -649,23 +650,23 @@ func bulkEnv(b *testing.B, records int) *phr.BulkFixture {
 
 func benchDiscloseCategory(b *testing.B, records int, parallel bool) {
 	f := bulkEnv(b, records)
-	disclose := f.Proxy.DiscloseCategory
+	workers := 1
 	if parallel {
-		disclose = f.Proxy.DiscloseCategoryParallel
+		workers = runtime.GOMAXPROCS(0)
 	}
 	// Warm the per-record pairing cache so both modes measure the
 	// steady-state serving path (write once, disclose many).
-	if _, err := f.Proxy.DiscloseCategoryParallel(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID); err != nil {
+	if _, err := f.ReEncrypt(0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rcts, err := disclose(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID)
+		n, err := f.ReEncrypt(workers)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rcts) != records {
-			b.Fatalf("disclosed %d records, want %d", len(rcts), records)
+		if n != records {
+			b.Fatalf("re-encrypted %d records, want %d", n, records)
 		}
 	}
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")

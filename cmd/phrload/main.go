@@ -6,11 +6,8 @@
 //
 // The harness writes BENCH_phrload.json (schema "phrload/1"): git
 // revision, the full load configuration, and per-endpoint metrics for each
-// run, so successive PRs can compare service-level numbers file-to-file.
-// With -compare it performs an A/B measurement in one invocation — the
-// same corpus and mix against the pre-optimization server configuration
-// (phr.ServerConfig{LegacyAuditJSON, NoFramePool}) and then the current
-// one — and records the hot-path before/after in the JSON.
+// run, so successive revisions can compare service-level numbers
+// file-to-file.
 //
 // See docs/loadtest.md for flags, the JSON schema, and the repeatable
 // command that produced the committed BENCH_phrload.json.
@@ -49,7 +46,6 @@ import (
 type loadConfig struct {
 	Addr     string // base URL of a running phrserver; empty with Selftest
 	Selftest bool   // run against an in-process httptest server
-	Compare  bool   // A/B: legacy server config, then optimized (implies selftest)
 
 	// Store selects the backend of in-process servers: "mem", "disk" (a
 	// throwaway diskstore directory, fsync=interval), or "both" (one run
@@ -169,11 +165,10 @@ type benchFile struct {
 	Generated string      `json:"generated"`
 	Config    benchConfig `json:"config"`
 	Runs      []runResult `json:"runs"`
-	Hotpath   *hotpath    `json:"hotpath,omitempty"`
 }
 
 type benchConfig struct {
-	Mode              string  `json:"mode"` // "selftest", "compare", or "remote"
+	Mode              string  `json:"mode"` // "selftest" or "remote"
 	DurationS         float64 `json:"duration_s"`
 	Concurrency       int     `json:"concurrency"`
 	Patients          int     `json:"patients"`
@@ -204,23 +199,9 @@ func (r *runResult) endpoint(name string) *loadstat.EndpointStats {
 	return nil
 }
 
-// hotpath records one before/after measurement of a server-side
-// optimization, reproduced by -compare.
-type hotpath struct {
-	Name         string  `json:"name"`
-	Detail       string  `json:"detail"`
-	Metric       string  `json:"metric"`
-	BeforeLabel  string  `json:"before_label"`
-	AfterLabel   string  `json:"after_label"`
-	BeforeUs     float64 `json:"before_us"`
-	AfterUs      float64 `json:"after_us"`
-	ImprovementX float64 `json:"improvement_x"`
-}
-
 // checkBench validates a BENCH_phrload.json byte-for-byte as CI's -check
 // gate does: schema tag, at least one run, the core endpoints exercised
-// with non-zero throughput, monotone quantiles, and a resolvable hotpath
-// entry when present.
+// with non-zero throughput, and monotone quantiles.
 func checkBench(data []byte) error {
 	var bf benchFile
 	if err := json.Unmarshal(data, &bf); err != nil {
@@ -247,23 +228,6 @@ func checkBench(data []byte) error {
 			if ep.P50Us > ep.P95Us || ep.P95Us > ep.P99Us || ep.P99Us > ep.MaxUs {
 				return fmt.Errorf("phrload: run %q endpoint %q has non-monotone quantiles", run.Label, ep.Endpoint)
 			}
-		}
-	}
-	if hp := bf.Hotpath; hp != nil {
-		var before, after *runResult
-		for i := range bf.Runs {
-			switch bf.Runs[i].Label {
-			case hp.BeforeLabel:
-				before = &bf.Runs[i]
-			case hp.AfterLabel:
-				after = &bf.Runs[i]
-			}
-		}
-		if before == nil || after == nil {
-			return fmt.Errorf("phrload: hotpath labels %q/%q do not resolve to runs", hp.BeforeLabel, hp.AfterLabel)
-		}
-		if hp.BeforeUs <= 0 || hp.AfterUs <= 0 {
-			return fmt.Errorf("phrload: hotpath entry has non-positive latencies")
 		}
 	}
 	return nil
@@ -548,7 +512,7 @@ func openLoadBackend(store string) (phr.Backend, func(), error) {
 
 // runPass materializes a fresh corpus, stands up (or attaches to) a
 // server, and drives one measured run against it.
-func runPass(cfg loadConfig, mix *opMix, label, store string, serverCfg phr.ServerConfig) (*runResult, error) {
+func runPass(cfg loadConfig, mix *opMix, label, store string) (*runResult, error) {
 	wc := workloadConfig(cfg)
 	var base string
 	if cfg.Addr == "" {
@@ -566,7 +530,7 @@ func runPass(cfg loadConfig, mix *opMix, label, store string, serverCfg phr.Serv
 	if cfg.Addr != "" {
 		base = strings.TrimRight(cfg.Addr, "/")
 	} else {
-		ts := httptest.NewServer(phr.NewServerWith(w.Service, serverCfg))
+		ts := httptest.NewServer(phr.NewServer(w.Service))
 		defer ts.Close()
 		base = ts.URL
 	}
@@ -591,12 +555,10 @@ func runBench(cfg loadConfig) (*benchFile, error) {
 	}
 	mode := "selftest"
 	switch {
-	case cfg.Compare:
-		mode = "compare"
 	case cfg.Addr != "":
 		mode = "remote"
 	case !cfg.Selftest:
-		return nil, fmt.Errorf("phrload: need -addr, -selftest, or -compare")
+		return nil, fmt.Errorf("phrload: need -addr or -selftest")
 	}
 	if cfg.Store == "both" && mode != "selftest" {
 		return nil, fmt.Errorf("phrload: -store=both needs -selftest (got mode %s)", mode)
@@ -624,43 +586,18 @@ func runBench(cfg loadConfig) (*benchFile, error) {
 		},
 	}
 
-	if cfg.Compare {
-		legacy, err := runPass(cfg, mix, "legacy", cfg.Store, phr.ServerConfig{LegacyAuditJSON: true, NoFramePool: true})
-		if err != nil {
-			return nil, err
-		}
-		optimized, err := runPass(cfg, mix, "optimized", cfg.Store, phr.ServerConfig{})
-		if err != nil {
-			return nil, err
-		}
-		bf.Runs = []runResult{*legacy, *optimized}
-		if b, a := legacy.endpoint(phr.EndpointAudit), optimized.endpoint(phr.EndpointAudit); b != nil && a != nil && a.MeanUs > 0 {
-			bf.Hotpath = &hotpath{
-				Name: "audit-encode-cache",
-				Detail: "GET /v1/audit re-marshaled the entire unbounded log per request; " +
-					"the audit log now keeps an incremental JSON encode cache (append-only " +
-					"entries only ever extend it) served zero-copy, and disclosure frames " +
-					"are marshaled into pooled buffers written in one call.",
-				Metric:       "audit mean_us",
-				BeforeLabel:  "legacy",
-				AfterLabel:   "optimized",
-				BeforeUs:     b.MeanUs,
-				AfterUs:      a.MeanUs,
-				ImprovementX: b.MeanUs / a.MeanUs,
-			}
-		}
-	} else if cfg.Store == "both" {
+	if cfg.Store == "both" {
 		// The memory-vs-disk dimension: same deterministic corpus and mix
 		// against each backend, labeled by store.
 		for _, store := range []string{"mem", "disk"} {
-			run, err := runPass(cfg, mix, "selftest-"+store, store, phr.ServerConfig{})
+			run, err := runPass(cfg, mix, "selftest-"+store, store)
 			if err != nil {
 				return nil, err
 			}
 			bf.Runs = append(bf.Runs, *run)
 		}
 	} else {
-		run, err := runPass(cfg, mix, mode, cfg.Store, phr.ServerConfig{})
+		run, err := runPass(cfg, mix, mode, cfg.Store)
 		if err != nil {
 			return nil, err
 		}
@@ -772,17 +709,12 @@ func summarize(w io.Writer, bf *benchFile) {
 			fmt.Fprintf(w, "first error on %s: %s\n", ep, msg)
 		}
 	}
-	if hp := bf.Hotpath; hp != nil {
-		fmt.Fprintf(w, "\nhotpath %s: %s %.0fus -> %.0fus (%.1fx)\n",
-			hp.Name, hp.Metric, hp.BeforeUs, hp.AfterUs, hp.ImprovementX)
-	}
 }
 
 func main() {
 	cfg := defaultConfig()
 	flag.StringVar(&cfg.Addr, "addr", "", "base URL of a running phrserver (e.g. http://127.0.0.1:8080)")
 	flag.BoolVar(&cfg.Selftest, "selftest", false, "drive an in-process httptest server instead of -addr")
-	flag.BoolVar(&cfg.Compare, "compare", false, "A/B in-process: legacy server config, then optimized; records the hotpath delta")
 	flag.DurationVar(&cfg.Duration, "duration", cfg.Duration, "measured duration per run")
 	flag.IntVar(&cfg.Concurrency, "concurrency", cfg.Concurrency, "concurrent workers")
 	flag.IntVar(&cfg.Patients, "patients", cfg.Patients, "workload: patients")

@@ -457,15 +457,16 @@ func e9() {
 		f, err := phr.NewBulkFixture(n)
 		check(err)
 		// Warm the per-record pairing cache: both modes then measure the
-		// steady-state serving path.
-		_, err = f.Proxy.DiscloseCategoryParallel(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID)
+		// steady-state serving path. The two modes differ only in the
+		// worker count of the re-encryption pool.
+		_, err = f.ReEncrypt(0)
 		check(err)
 		serial := timeOp(func() {
-			_, err := f.Proxy.DiscloseCategory(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID)
+			_, err := f.ReEncrypt(1)
 			check(err)
 		})
 		par := timeOp(func() {
-			_, err := f.Proxy.DiscloseCategoryParallel(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID)
+			_, err := f.ReEncrypt(runtime.GOMAXPROCS(0))
 			check(err)
 		})
 		fmt.Printf("  %-8d | %14s | %14s | %7.2fx\n", n,

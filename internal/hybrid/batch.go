@@ -116,18 +116,3 @@ func ReEncryptStream(cts []*Ciphertext, prk *core.PreparedReKey, workers int, yi
 	}
 	return nil
 }
-
-// ReEncryptBatch is ReEncryptStream collected into a slice: every
-// ciphertext transformed with the prepared proxy key, in input order.
-// Outputs are element-wise identical to serial ReEncryptPrepared calls.
-func ReEncryptBatch(cts []*Ciphertext, prk *core.PreparedReKey, workers int) ([]*ReCiphertext, error) {
-	out := make([]*ReCiphertext, 0, len(cts))
-	err := ReEncryptStream(cts, prk, workers, func(rct *ReCiphertext) error {
-		out = append(out, rct)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

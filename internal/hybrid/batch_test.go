@@ -32,14 +32,25 @@ func batchFixture(t *testing.T, n int) (*fixture, []*Ciphertext, [][]byte, *core
 	return f, cts, bodies, core.PrepareReKey(rk)
 }
 
-// TestReEncryptBatchMatchesSerial pins the parallel path to the serial one:
-// same order, byte-identical plaintexts after delegatee decryption.
+// collect runs ReEncryptStream and gathers its results in emission order.
+func collect(cts []*Ciphertext, prk *core.PreparedReKey, workers int) ([]*ReCiphertext, error) {
+	var out []*ReCiphertext
+	err := ReEncryptStream(cts, prk, workers, func(rct *ReCiphertext) error {
+		out = append(out, rct)
+		return nil
+	})
+	return out, err
+}
+
+// TestReEncryptBatchMatchesSerial pins batch re-encryption at every worker
+// count to the serial (workers=1, inline) result: input order kept,
+// byte-identical plaintexts after delegatee decryption.
 func TestReEncryptBatchMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 17} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			f, cts, bodies, prk := batchFixture(t, n)
 			for _, workers := range []int{0, 1, 4, 64} {
-				rcts, err := ReEncryptBatch(cts, prk, workers)
+				rcts, err := collect(cts, prk, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +125,7 @@ func TestReEncryptStreamPropagatesErrors(t *testing.T) {
 }
 
 // TestReEncryptBatchConcurrentCallers exercises one shared PreparedReKey
-// from many batches at once (the race-detector target for the pool and the
+// from many streams at once (the race-detector target for the pool and the
 // adjustment cache).
 func TestReEncryptBatchConcurrentCallers(t *testing.T) {
 	f, cts, bodies, prk := batchFixture(t, 8)
@@ -124,7 +135,7 @@ func TestReEncryptBatchConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rcts, err := ReEncryptBatch(cts, prk, 4)
+			rcts, err := collect(cts, prk, 4)
 			if err != nil {
 				errs <- err
 				return

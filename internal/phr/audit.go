@@ -11,10 +11,9 @@ type Outcome string
 
 // Audit outcomes.
 const (
-	OutcomeGranted  Outcome = "granted"
-	OutcomeNoGrant  Outcome = "no-grant"
-	OutcomeNotFound Outcome = "not-found"
-	OutcomeError    Outcome = "error"
+	OutcomeGranted Outcome = "granted"
+	OutcomeNoGrant Outcome = "no-grant"
+	OutcomeError   Outcome = "error"
 	// OutcomeStaleGrant marks a request through a grant that predates the
 	// category's key rotation: the rekey still sits in the grant table but
 	// can no longer transform the re-sealed records.

@@ -75,10 +75,6 @@ func TestAuditDenialOnEveryErrorPath(t *testing.T) {
 			_, err := s.svc.Read(rec.ID, s.eveKey)
 			return err
 		}, OutcomeNoGrant},
-		{"unknown record", func() error {
-			_, err := proxy.Disclose(s.svc.Store, "no-such-record", s.bobKey.ID)
-			return err
-		}, OutcomeNotFound},
 		{"rotated-away key", func() error {
 			if _, err := s.alice.RotateTypeKey(s.svc.Store, CategoryEmergency, nil); err != nil {
 				return fmt.Errorf("rotate: %w", err)

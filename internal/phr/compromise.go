@@ -17,6 +17,13 @@ import (
 // identity-wide rekey per (patient, requester) — the same corruption
 // exposes EVERY record of every delegating patient.
 
+// sealedPair keys exposure by patient and sealed wire type (category plus
+// rotation epoch): a recovered type key opens exactly one such pair.
+type sealedPair struct {
+	patient string
+	typ     core.Type
+}
+
 // ExposureReport summarizes a compromise simulation.
 type ExposureReport struct {
 	TotalRecords   int
@@ -43,14 +50,14 @@ func SimulateTypePREBreach(store Backend, corrupted []*Proxy) *ExposureReport {
 	// Keyed by the *sealed* wire type (category + rotation epoch), not the
 	// logical category: a rekey for an old epoch opens nothing that has
 	// been re-sealed since — rotation shrinks the blast radius.
-	exposedPairs := map[patientCategory]bool{}
+	exposedPairs := map[sealedPair]bool{}
 	for _, p := range corrupted {
 		for _, rk := range p.CompromisedGrants() {
-			exposedPairs[patientCategory{rk.DelegatorID, Category(rk.Type)}] = true
+			exposedPairs[sealedPair{rk.DelegatorID, rk.Type}] = true
 		}
 	}
 	return exposureFrom(store, func(rec *EncryptedRecord) bool {
-		return exposedPairs[patientCategory{rec.PatientID, Category(rec.Sealed.KEM.Type)}]
+		return exposedPairs[sealedPair{rec.PatientID, rec.Sealed.KEM.Type}]
 	})
 }
 
@@ -100,7 +107,7 @@ func exposureFrom(store Backend, exposed func(*EncryptedRecord) bool) *ExposureR
 func VerifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
 	// Recover all type keys available to the attacker, keyed by the sealed
 	// wire type they open (category at a specific rotation epoch).
-	typeKeys := map[patientCategory]*core.TypeKey{}
+	typeKeys := map[sealedPair]*core.TypeKey{}
 	for _, p := range corrupted {
 		for _, rk := range p.CompromisedGrants() {
 			requesterKey, ok := w.Requesters[rk.DelegateeID]
@@ -111,14 +118,14 @@ func VerifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
 			if err != nil {
 				return false, false
 			}
-			typeKeys[patientCategory{rk.DelegatorID, Category(rk.Type)}] = tk
+			typeKeys[sealedPair{rk.DelegatorID, rk.Type}] = tk
 		}
 	}
 
 	exposedOK := true
 	isolatedOK := true
 	for _, rec := range w.Records {
-		key := patientCategory{rec.PatientID, Category(rec.Sealed.KEM.Type)}
+		key := sealedPair{rec.PatientID, rec.Sealed.KEM.Type}
 		tk, exposed := typeKeys[key]
 		if exposed {
 			// The attacker opens the KEM with the type key and unseals.

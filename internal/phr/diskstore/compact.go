@@ -54,17 +54,11 @@ func (s *Store) Compact() error {
 	// Copy live entries in deterministic order (sorted patients,
 	// insertion order within a patient). Payload bytes are copied
 	// verbatim off disk; a replace entry becomes a put in the new log.
-	patients := make([]string, 0, len(s.byPatient))
-	for p := range s.byPatient {
-		patients = append(patients, p)
-	}
-	sort.Strings(patients)
-
 	newLocs := make(map[string]entryLoc, len(s.index))
 	var liveBytes int64
 	frame := []byte(nil)
-	for _, p := range patients {
-		for _, id := range s.byPatient[p] {
+	for _, p := range s.records.Patients() {
+		for _, id := range s.records.IDs(p) {
 			loc := s.index[id]
 			payload, err := s.readPayload(loc)
 			if err != nil {

@@ -146,11 +146,6 @@ type Stats struct {
 	Recovery     RecoveryStats
 }
 
-type patCat struct {
-	patient  string
-	category phr.Category
-}
-
 // entryLoc is one live record's position in the log plus the routing
 // metadata needed without a disk read.
 type entryLoc struct {
@@ -169,9 +164,8 @@ type Store struct {
 	mu     sync.RWMutex
 	closed bool
 
-	index     map[string]entryLoc
-	byPatient map[string][]string // patient → record IDs, insertion order
-	byPatCat  map[patCat][]string
+	index   map[string]entryLoc // record ID → log location
+	records phr.RecordIndex     // phrlint:guardedby mu
 
 	segs       map[int]*os.File
 	activeID   int
@@ -210,13 +204,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("%w: %w", phr.ErrStorage, err)
 	}
 	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		index:     map[string]entryLoc{},
-		byPatient: map[string][]string{},
-		byPatCat:  map[patCat][]string{},
-		segs:      map[int]*os.File{},
+		dir:   dir,
+		opts:  opts,
+		index: map[string]entryLoc{},
+		segs:  map[int]*os.File{},
 	}
+	// Nothing else can reach s yet; the lock only states that replay
+	// writes the indexes under it, like every later write.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	ids, err := s.segmentIDs()
 	if err != nil {
@@ -270,6 +266,8 @@ func (s *Store) segmentIDs() ([]int, error) {
 // entry to the in-memory indexes. A broken frame in the final segment is
 // a torn tail: the file is truncated at the last valid frame boundary. A
 // broken frame anywhere else fails with ErrCorrupt.
+//
+// phrlint:locked mu — Open holds the write lock during replay.
 func (s *Store) replaySegment(id int, last bool) error {
 	path := filepath.Join(s.dir, segName(id))
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -343,6 +341,8 @@ func (s *Store) replaySegment(id int, last bool) error {
 // applyEntry replays one decoded payload into the indexes. Replay is an
 // upsert for put/replace and a no-op delete for unknown IDs: compaction
 // may leave overlapping segments behind a crash, and later entries win.
+//
+// phrlint:locked mu
 func (s *Store) applyEntry(seg int, off int64, payload []byte) error {
 	switch payload[0] {
 	case opPut, opReplace:
@@ -355,9 +355,7 @@ func (s *Store) applyEntry(seg int, off int64, payload []byte) error {
 			s.garbageBytes += int64(old.n)
 			s.liveBytes -= int64(old.n)
 		} else {
-			s.byPatient[rec.PatientID] = append(s.byPatient[rec.PatientID], rec.ID)
-			key := patCat{rec.PatientID, rec.Category}
-			s.byPatCat[key] = append(s.byPatCat[key], rec.ID)
+			s.records.Add(rec.ID, rec.PatientID, rec.Category)
 		}
 		s.index[rec.ID] = loc
 		s.liveBytes += int64(len(payload))
@@ -373,32 +371,14 @@ func (s *Store) applyEntry(seg int, off int64, payload []byte) error {
 	}
 }
 
+// dropFromIndex forgets a deleted record.
+//
+// phrlint:locked mu
 func (s *Store) dropFromIndex(id string, loc entryLoc) {
 	delete(s.index, id)
 	s.garbageBytes += int64(loc.n)
 	s.liveBytes -= int64(loc.n)
-	// Drop emptied index keys outright, mirroring the memory backend's
-	// churn-leak behavior.
-	if rest := removeString(s.byPatient[loc.patient], id); len(rest) > 0 {
-		s.byPatient[loc.patient] = rest
-	} else {
-		delete(s.byPatient, loc.patient)
-	}
-	key := patCat{loc.patient, loc.category}
-	if rest := removeString(s.byPatCat[key], id); len(rest) > 0 {
-		s.byPatCat[key] = rest
-	} else {
-		delete(s.byPatCat, key)
-	}
-}
-
-func removeString(xs []string, x string) []string {
-	for i, v := range xs {
-		if v == x {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
+	s.records.Remove(id, loc.patient, loc.category)
 }
 
 func (s *Store) createSegment(id int) error {
@@ -534,9 +514,7 @@ func (s *Store) Put(r *phr.EncryptedRecord) error {
 		return err
 	}
 	s.index[r.ID] = entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: r.PatientID, category: r.Category}
-	s.byPatient[r.PatientID] = append(s.byPatient[r.PatientID], r.ID)
-	key := patCat{r.PatientID, r.Category}
-	s.byPatCat[key] = append(s.byPatCat[key], r.ID)
+	s.records.Add(r.ID, r.PatientID, r.Category)
 	s.liveBytes += int64(len(payload))
 	return nil
 }
@@ -622,7 +600,7 @@ func (s *Store) ListByPatient(patientID string) ([]*phr.EncryptedRecord, error) 
 	if s.closed {
 		return nil, fmt.Errorf("%w: store closed", phr.ErrStorage)
 	}
-	return s.list(s.byPatient[patientID])
+	return s.list(s.records.IDs(patientID))
 }
 
 // ListByPatientCategory returns a patient's records of one category in
@@ -633,7 +611,7 @@ func (s *Store) ListByPatientCategory(patientID string, c phr.Category) ([]*phr.
 	if s.closed {
 		return nil, fmt.Errorf("%w: store closed", phr.ErrStorage)
 	}
-	return s.list(s.byPatCat[patCat{patientID, c}])
+	return s.list(s.records.IDsIn(patientID, c))
 }
 
 // Count returns the total number of records.
@@ -647,37 +625,21 @@ func (s *Store) Count() int {
 func (s *Store) CountByPatient(patientID string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byPatient[patientID])
+	return s.records.CountByPatient(patientID)
 }
 
 // Patients returns the sorted patient IDs with at least one record.
 func (s *Store) Patients() []string {
 	s.mu.RLock()
-	out := make([]string, 0, len(s.byPatient))
-	for p := range s.byPatient {
-		out = append(out, p)
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	defer s.mu.RUnlock()
+	return s.records.Patients()
 }
 
 // Categories returns the sorted distinct categories of a patient.
 func (s *Store) Categories(patientID string) []phr.Category {
 	s.mu.RLock()
-	seen := map[phr.Category]bool{}
-	for key, ids := range s.byPatCat {
-		if key.patient == patientID && len(ids) > 0 {
-			seen[key.category] = true
-		}
-	}
-	s.mu.RUnlock()
-	out := make([]phr.Category, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer s.mu.RUnlock()
+	return s.records.Categories(patientID)
 }
 
 // Close flushes the active segment and releases every file handle. After

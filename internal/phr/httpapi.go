@@ -64,24 +64,9 @@ const (
 	EndpointAudit      = "audit"
 )
 
-// ServerConfig carries measurement controls for the HTTP layer. The zero
-// value is the production configuration; the Legacy*/No* switches re-enable
-// pre-optimization code paths so cmd/phrload -compare can attribute the
-// hot-path fixes with a repeatable A/B run.
-type ServerConfig struct {
-	// LegacyAuditJSON re-marshals the entire audit log on every GET
-	// /v1/audit instead of serving the incremental encode cache.
-	LegacyAuditJSON bool
-	// NoFramePool marshals each disclosure response container into a fresh
-	// allocation and writes its length prefix separately, instead of using
-	// the pooled single-write frame path.
-	NoFramePool bool
-}
-
 // Server exposes a Service over HTTP.
 type Server struct {
 	svc   *Service
-	cfg   ServerConfig
 	mux   *http.ServeMux
 	start time.Time
 
@@ -90,14 +75,10 @@ type Server struct {
 	inflight loadstat.Gauge
 }
 
-// NewServer wraps a service with the production configuration.
-func NewServer(svc *Service) *Server { return NewServerWith(svc, ServerConfig{}) }
-
-// NewServerWith wraps a service with explicit measurement controls.
-func NewServerWith(svc *Service, cfg ServerConfig) *Server {
+// NewServer wraps a service in the HTTP API.
+func NewServer(svc *Service) *Server {
 	s := &Server{
 		svc:     svc,
-		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		metrics: loadstat.NewCollector(),
@@ -169,9 +150,9 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 
 // ServerMetrics is the GET /v1/metrics response body.
 type ServerMetrics struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	InFlight      int64                    `json:"in_flight"`
-	InFlightHigh  int64                    `json:"in_flight_high"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	InFlight      int64   `json:"in_flight"`
+	InFlightHigh  int64   `json:"in_flight_high"`
 	// StoreRecords is the backend's current record count — the durability
 	// gate the crash-recovery CI job compares across a SIGKILL/restart.
 	StoreRecords int                      `json:"store_records"`
@@ -311,10 +292,6 @@ func (s *Server) handleDisclose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if s.cfg.NoFramePool {
-		w.Write(rct.Marshal())
-		return
-	}
 	writeContainer(w, rct, false)
 }
 
@@ -374,17 +351,7 @@ func (s *Server) streamFrames(w http.ResponseWriter, produce func(func(*hybrid.R
 		// The first Write attempt commits the 200 status even if it fails
 		// partway, so flip wrote before touching the ResponseWriter.
 		wrote = true
-		if s.cfg.NoFramePool {
-			b := rct.Marshal()
-			var prefix [4]byte
-			binary.BigEndian.PutUint32(prefix[:], uint32(len(b)))
-			if _, err := w.Write(prefix[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-		} else if err := writeContainer(w, rct, true); err != nil {
+		if err := writeContainer(w, rct, true); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -433,7 +400,9 @@ func (s *Server) handleRevokeGrant(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing patient/category/requester", http.StatusBadRequest)
 		return
 	}
-	proxy, err := s.svc.ProxyFor(category)
+	// Route by the logical category, as install does: a revoke may name
+	// the grant by its rekey's versioned wire type ("medication#e1").
+	proxy, err := s.svc.ProxyFor(BaseCategory(category))
 	if err != nil {
 		httpError(w, err)
 		return
@@ -465,8 +434,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	// ResponseWriter so an encoding failure can still surface as a status
 	// code instead of a torn 200 body.
 	log := proxy.Audit()
-	switch {
-	case limit > 0:
+	if limit > 0 {
 		// Bounded tails are small; marshal them directly.
 		buf, err := json.Marshal(log.Tail(limit))
 		if err != nil {
@@ -475,30 +443,20 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(buf)
-	case s.cfg.LegacyAuditJSON:
-		// Pre-optimization path: re-encode the whole log every request.
-		buf, err := json.Marshal(log.Entries())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(buf)
-	default:
-		// Full log: serve the incremental encode cache — O(new entries)
-		// encoding work, zero-copy write of the cached body.
-		body, err := log.JSONBody()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)+2))
-		w.Write([]byte{'['})
-		w.Write(body)
-		w.Write([]byte{']'})
+		return
 	}
+	// Full log: serve the incremental encode cache — O(new entries)
+	// encoding work, zero-copy write of the cached body.
+	body, err := log.JSONBody()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+2))
+	w.Write([]byte{'['})
+	w.Write(body)
+	w.Write([]byte{']'})
 }
 
 // ---------------------------------------------------------------------------

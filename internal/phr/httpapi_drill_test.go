@@ -170,6 +170,38 @@ func TestHTTPRotationDrill(t *testing.T) {
 	}
 }
 
+// TestHTTPRevokeByWireType revokes a post-rotation grant by the wire type
+// its rekey carries ("medication#e1"): install keys grants by the logical
+// category, so revoke must too — 204, then the pair is denied.
+func TestHTTPRevokeByWireType(t *testing.T) {
+	h := newHTTPScenario(t)
+	const requester = "dr-bob@clinic.example"
+	rec := h.sealRecord(t, "alice/wire-0", CategoryMedication, []byte("metformin 500mg"))
+	if err := h.client.PutRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.alice.RotateTypeKey(h.svc.Store, CategoryMedication, nil); err != nil {
+		t.Fatal(err)
+	}
+	wireType := core.VersionedType(core.Type(CategoryMedication), h.alice.Epoch(CategoryMedication))
+	rk, err := h.alice.Delegator().Delegate(h.kgc2.Params(), requester, wireType, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.client.InstallGrant(rk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.client.Disclose("alice/wire-0", requester); err != nil {
+		t.Fatalf("re-granted disclosure: %v", err)
+	}
+	if err := h.client.RevokeGrant(h.alice.ID(), rk.Type, requester); err != nil {
+		t.Fatalf("revoke by wire type %q: %v", rk.Type, err)
+	}
+	if _, err := h.client.Disclose("alice/wire-0", requester); err == nil || !strings.Contains(err.Error(), "403") {
+		t.Fatalf("disclosure after revoke: want 403, got %v", err)
+	}
+}
+
 // TestHTTPBreakGlassDrill runs the break-glass story over the wire: the
 // mandatory reason (400 without it, no audit traffic), streamed emergency
 // disclosure through the standing grant, the distinguishable audit
@@ -357,47 +389,6 @@ func TestAuditJSONBodyMatchesMarshal(t *testing.T) {
 		}
 	}
 	check()
-}
-
-// TestHTTPLegacyServerConfig pins that the measurement-control server
-// (legacy audit encode, no frame pool) serves byte-identical responses.
-func TestHTTPLegacyServerConfig(t *testing.T) {
-	s := newScenario(t)
-	legacy := httptest.NewServer(NewServerWith(s.svc, ServerConfig{LegacyAuditJSON: true, NoFramePool: true}))
-	t.Cleanup(legacy.Close)
-	client := NewClient(legacy.URL)
-
-	body := []byte("legacy-path record")
-	sealed, err := hybrid.Encrypt(s.alice.Delegator(), body, CategoryEmergency, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.PutRecord(&EncryptedRecord{
-		ID: "alice/leg-1", PatientID: s.alice.ID(), Category: CategoryEmergency, Sealed: sealed,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rk, err := s.alice.Delegator().Delegate(s.kgc2.Params(), s.bobKey.ID, CategoryEmergency, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.InstallGrant(rk); err != nil {
-		t.Fatal(err)
-	}
-	rct, err := client.Disclose("alice/leg-1", s.bobKey.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := hybrid.DecryptReEncrypted(s.bobKey, rct); err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("legacy single disclosure: err=%v", err)
-	}
-	rcts, err := client.DiscloseCategory(s.alice.ID(), CategoryEmergency, s.bobKey.ID)
-	if err != nil || len(rcts) != 1 {
-		t.Fatalf("legacy bulk disclosure: err=%v n=%d", err, len(rcts))
-	}
-	if entries, err := client.Audit(CategoryEmergency); err != nil || len(entries) != 2 {
-		t.Fatalf("legacy audit: err=%v entries=%d", err, len(entries))
-	}
 }
 
 // ---------------------------------------------------------------------------

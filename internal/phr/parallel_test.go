@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"typepre/internal/hybrid"
@@ -19,32 +20,64 @@ func bulkWorkload(t *testing.T, n int) (*Workload, *Proxy, string, string) {
 	return f.Workload, f.Proxy, f.PatientID, f.RequesterID
 }
 
-// TestDiscloseCategoryParallelMatchesSerial pins the worker-pool path to
-// the serial one: same record order, byte-identical plaintexts after
-// delegatee decryption.
+// discloseAll collects a category stream into a slice.
+func discloseAll(p *Proxy, store Backend, patientID string, c Category, requester string) ([]*hybrid.ReCiphertext, error) {
+	var out []*hybrid.ReCiphertext
+	err := p.DiscloseCategoryStream(store, patientID, c, requester, func(rct *hybrid.ReCiphertext) error {
+		out = append(out, rct)
+		return nil
+	})
+	return out, err
+}
+
+// countingBackend counts the record reads (Get and both List methods)
+// that reach the backend beneath a service or proxy.
+type countingBackend struct {
+	Backend
+	reads atomic.Int64
+}
+
+func (b *countingBackend) Get(id string) (*EncryptedRecord, error) {
+	b.reads.Add(1)
+	return b.Backend.Get(id)
+}
+
+func (b *countingBackend) ListByPatient(patientID string) ([]*EncryptedRecord, error) {
+	b.reads.Add(1)
+	return b.Backend.ListByPatient(patientID)
+}
+
+func (b *countingBackend) ListByPatientCategory(patientID string, c Category) ([]*EncryptedRecord, error) {
+	b.reads.Add(1)
+	return b.Backend.ListByPatientCategory(patientID, c)
+}
+
+// TestDiscloseCategoryParallelMatchesSerial pins the worker-pool stream to
+// serial one-record disclosures: same record order, byte-identical
+// plaintexts after delegatee decryption.
 func TestDiscloseCategoryParallelMatchesSerial(t *testing.T) {
 	w, proxy, patient, requester := bulkWorkload(t, 24)
 	key := w.Requesters[requester]
 
-	serial, err := proxy.DiscloseCategory(w.Service.Store, patient, CategoryEmergency, requester)
+	parallel, err := discloseAll(proxy, w.Service.Store, patient, CategoryEmergency, requester)
 	if err != nil {
 		t.Fatal(err)
-	}
-	parallel, err := proxy.DiscloseCategoryParallel(w.Service.Store, patient, CategoryEmergency, requester)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 24 || len(parallel) != 24 {
-		t.Fatalf("serial=%d parallel=%d, want 24", len(serial), len(parallel))
 	}
 	recs := mustList(t, w.Service.Store, patient, CategoryEmergency)
-	for i := range parallel {
-		want := w.Bodies[recs[i].ID]
+	if len(recs) != 24 || len(parallel) != 24 {
+		t.Fatalf("records=%d parallel=%d, want 24", len(recs), len(parallel))
+	}
+	for i, rec := range recs {
+		serial, err := w.Service.Request(rec.ID, requester)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := w.Bodies[rec.ID]
 		gotP, err := hybrid.DecryptReEncrypted(key, parallel[i])
 		if err != nil {
 			t.Fatalf("parallel item %d: %v", i, err)
 		}
-		gotS, err := hybrid.DecryptReEncrypted(key, serial[i])
+		gotS, err := hybrid.DecryptReEncrypted(key, serial)
 		if err != nil {
 			t.Fatalf("serial item %d: %v", i, err)
 		}
@@ -108,17 +141,52 @@ func TestDiscloseCategoryStreamOrderAndAudit(t *testing.T) {
 }
 
 // TestDiscloseCategoryParallelNoGrant keeps the denial semantics: error,
-// no results, one no-grant audit entry.
+// no results, one no-grant audit entry, and no read from the store.
 func TestDiscloseCategoryParallelNoGrant(t *testing.T) {
 	w, proxy, patient, _ := bulkWorkload(t, 4)
+	store := &countingBackend{Backend: w.Service.Store}
 	before := proxy.Audit().Len()
-	_, err := proxy.DiscloseCategoryParallel(w.Service.Store, patient, CategoryEmergency, "eve@outside.example")
-	if !errors.Is(err, ErrNoGrant) {
-		t.Fatalf("got %v, want ErrNoGrant", err)
+	rcts, err := discloseAll(proxy, store, patient, CategoryEmergency, "eve@outside.example")
+	if !errors.Is(err, ErrNoGrant) || len(rcts) != 0 {
+		t.Fatalf("got %d records and %v, want none and ErrNoGrant", len(rcts), err)
 	}
 	entries := proxy.Audit().Entries()[before:]
 	if len(entries) != 1 || entries[0].Outcome != OutcomeNoGrant {
 		t.Fatalf("audit after denial = %+v", entries)
+	}
+	if n := store.reads.Load(); n != 0 {
+		t.Fatalf("denied bulk request read the store %d times, want 0", n)
+	}
+}
+
+// TestRequestFetchesRecordOnce pins the single-record path to one store
+// read per request, granted or denied: the service fetches the record to
+// route it and hands that same record to the proxy.
+func TestRequestFetchesRecordOnce(t *testing.T) {
+	s := newScenario(t)
+	store := &countingBackend{Backend: NewStore()}
+	svc := NewServiceWith(StandardCategories(), store)
+	rec, err := s.alice.AddRecord(store, CategoryEmergency, []byte("bt O−"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, requester string
+		wantErr         error
+	}{
+		{"granted", s.bobKey.ID, nil},
+		{"denied", s.eveKey.ID, ErrNoGrant},
+	} {
+		before := store.reads.Load()
+		if _, err := svc.Request(rec.ID, tc.requester); !errors.Is(err, tc.wantErr) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if n := store.reads.Load() - before; n != 1 {
+			t.Fatalf("%s: request read the store %d times, want 1", tc.name, n)
+		}
 	}
 }
 
@@ -136,7 +204,7 @@ func TestDiscloseCategoryParallelConcurrentRequesters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rcts, err := proxy.DiscloseCategoryParallel(w.Service.Store, patient, CategoryEmergency, requester)
+			rcts, err := discloseAll(proxy, w.Service.Store, patient, CategoryEmergency, requester)
 			if err != nil {
 				errs <- err
 				return

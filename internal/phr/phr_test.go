@@ -283,12 +283,26 @@ func TestAuditTrail(t *testing.T) {
 	if len(log.Denials()) != 1 {
 		t.Fatalf("denials = %d, want 1", len(log.Denials()))
 	}
-	// Unknown record is audited as not-found.
-	if _, err := proxy.Disclose(s.svc.Store, "nope", "dr-bob@clinic.example"); err == nil {
-		t.Fatal("unknown record disclosed")
+}
+
+// TestRequestUnknownRecordNotFound pins where an unknown record stops: the
+// service's one store read reports ErrNotFound before any proxy sees the
+// request, so no proxy audits it.
+func TestRequestUnknownRecordNotFound(t *testing.T) {
+	s := newScenario(t)
+	if _, err := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("x"), nil); err != nil {
+		t.Fatal(err)
 	}
-	if got := log.Entries()[log.Len()-1].Outcome; got != OutcomeNotFound {
-		t.Fatalf("last outcome = %s, want not-found", got)
+	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.svc.Request("no-such-record", s.bobKey.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("got %v, want ErrNotFound", err)
+	}
+	for c, proxy := range s.svc.Proxies() {
+		if n := proxy.Audit().Len(); n != 0 {
+			t.Fatalf("proxy for %s audited %d entries for an unknown record", c, n)
+		}
 	}
 }
 

@@ -74,8 +74,11 @@ func (p *Proxy) Install(rk *core.ReKey) error {
 // the prepared rekey — and with it the cached pairing adjustments — so a
 // revoked pair cannot be served from any warm cache, and any in-flight
 // streaming disclosure for the pair terminates before its next record.
+//
+// Like Install, Revoke keys the grant by its logical category, so a
+// rotation-epoch wire type ("medication#e1") revokes the grant it names.
 func (p *Proxy) Revoke(patientID string, c Category, requester string) error {
-	k := grantKey{patientID, c, requester}
+	k := grantKey{patientID, BaseCategory(c), requester}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.grants[k]; !ok {
@@ -100,182 +103,53 @@ func (p *Proxy) lookup(patientID string, c Category, requester string) (*core.Pr
 	return rk, ok
 }
 
-// staleErr builds the denial for a grant whose epoch no longer matches the
-// stored records.
-func staleErr(patientID string, c Category, requester string, grantType, sealedType core.Type) error {
-	return fmt.Errorf("%w: %s/%s for %s (grant epoch %q, records sealed as %q)",
-		ErrStaleGrant, patientID, c, requester, grantType, sealedType)
+// disclosure names what one disclosure request releases and how the
+// engine audits it.
+type disclosure struct {
+	patientID string
+	category  Category
+	requester string
+	recordID  string  // the one record asked for; "" for a whole category
+	outcome   Outcome // audit outcome of each released record
+	note      string  // carried by every entry (the break-glass reason)
 }
 
-// Disclose fetches a record from the store and re-encrypts it toward the
-// requester, enforcing the grant table and writing an audit entry either
-// way. This is the §5 on-demand disclosure path.
-func (p *Proxy) Disclose(store Backend, recordID, requester string) (*hybrid.ReCiphertext, error) {
-	rec, err := store.Get(recordID)
+// Disclose re-encrypts one record toward the requester, enforcing the
+// grant table and writing an audit entry either way. This is the §5
+// on-demand disclosure path; the caller has already fetched the record
+// (Service.Request reads it once to route it to this proxy).
+func (p *Proxy) Disclose(rec *EncryptedRecord, requester string) (*hybrid.ReCiphertext, error) {
+	var out *hybrid.ReCiphertext
+	err := p.disclose(disclosure{
+		patientID: rec.PatientID, category: rec.Category, requester: requester,
+		recordID: rec.ID, outcome: OutcomeGranted,
+	}, func() ([]*EncryptedRecord, error) { return []*EncryptedRecord{rec}, nil },
+		func(rct *hybrid.ReCiphertext) error { out = rct; return nil })
 	if err != nil {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, RecordID: recordID, Requester: requester,
-			Outcome: OutcomeNotFound,
-		})
 		return nil, err
-	}
-	rk, ok := p.lookup(rec.PatientID, rec.Category, requester)
-	if !ok {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: rec.PatientID, RecordID: recordID,
-			Category: rec.Category, Requester: requester, Outcome: OutcomeNoGrant,
-		})
-		return nil, fmt.Errorf("%w: %s/%s for %s", ErrNoGrant, rec.PatientID, rec.Category, requester)
-	}
-	if rk.ReKey().Type != rec.Sealed.KEM.Type {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: rec.PatientID, RecordID: recordID,
-			Category: rec.Category, Requester: requester, Outcome: OutcomeStaleGrant,
-		})
-		return nil, staleErr(rec.PatientID, rec.Category, requester, rk.ReKey().Type, rec.Sealed.KEM.Type)
-	}
-	rct, err := hybrid.ReEncryptPrepared(rec.Sealed, rk)
-	if err != nil {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: rec.PatientID, RecordID: recordID,
-			Category: rec.Category, Requester: requester, Outcome: OutcomeError,
-		})
-		return nil, err
-	}
-	p.audit.Append(AuditEntry{
-		Proxy: p.name, PatientID: rec.PatientID, RecordID: recordID,
-		Category: rec.Category, Requester: requester, Outcome: OutcomeGranted,
-	})
-	return rct, nil
-}
-
-// DiscloseCategory re-encrypts every record of (patient, category) toward
-// the requester — the bulk path used in emergencies (§5: "the PHR data can
-// be disclosed on demand by the proxy").
-func (p *Proxy) DiscloseCategory(store Backend, patientID string, c Category, requester string) ([]*hybrid.ReCiphertext, error) {
-	if _, ok := p.lookup(patientID, c, requester); !ok {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeNoGrant,
-		})
-		return nil, fmt.Errorf("%w: %s/%s for %s", ErrNoGrant, patientID, c, requester)
-	}
-	recs, err := store.ListByPatientCategory(patientID, c)
-	if err != nil {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeError,
-		})
-		return nil, err
-	}
-	out := make([]*hybrid.ReCiphertext, 0, len(recs))
-	for _, rec := range recs {
-		rct, err := p.Disclose(store, rec.ID, requester)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rct)
 	}
 	return out, nil
 }
 
-// DiscloseCategoryStream is the streaming bulk-disclosure path: it checks
-// the grant once, fans re-encryption of the patient's records across a
-// bounded worker pool (hybrid.ReEncryptStream, sized by GOMAXPROCS,
-// sharing the prepared grant's pairing cache), and calls yield once per
-// record in insertion order as results complete. Memory stays bounded by
-// the pool size, not the record count, so the HTTP layer can stream frames
-// to the wire as they are produced.
+// DiscloseCategoryStream is the bulk-disclosure path (§5: "the PHR data
+// can be disclosed on demand by the proxy"): it re-encrypts every record
+// of (patient, category) toward the requester and calls yield once per
+// record in insertion order as results complete. Re-encryption fans out
+// across a bounded worker pool (hybrid.ReEncryptStream, sized by
+// GOMAXPROCS, sharing the prepared grant's pairing cache), so memory stays
+// bounded by the pool size, not the record count, and the HTTP layer can
+// stream frames to the wire as they are produced.
 //
 // Revocation wins over an in-flight stream: before each record is
 // released, the grant is re-checked, and a pair revoked (or re-keyed)
 // mid-stream stops the stream with ErrNoGrant before the next record
 // leaves the proxy.
 //
-// Audit semantics match the serial path: one granted entry per disclosed
-// record; a denial or a failed transformation is audited once.
+// One granted entry is audited per disclosed record; a denial or a failed
+// transformation is audited once.
 func (p *Proxy) DiscloseCategoryStream(store Backend, patientID string, c Category, requester string, yield func(*hybrid.ReCiphertext) error) error {
-	return p.discloseCategoryStream(store, patientID, c, requester, OutcomeGranted, "", yield)
-}
-
-// discloseCategoryStream is the shared bulk-disclosure engine; outcome and
-// note parameterize how each released record is audited (OutcomeGranted
-// for the regular path, OutcomeBreakGlass plus the mandatory reason for
-// emergency access).
-func (p *Proxy) discloseCategoryStream(store Backend, patientID string, c Category, requester string, outcome Outcome, note string, yield func(*hybrid.ReCiphertext) error) error {
-	rk, ok := p.lookup(patientID, c, requester)
-	if !ok {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeNoGrant, Note: note,
-		})
-		return fmt.Errorf("%w: %s/%s for %s", ErrNoGrant, patientID, c, requester)
-	}
-	recs, err := store.ListByPatientCategory(patientID, c)
-	if err != nil {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeError, Note: note,
-		})
-		return err
-	}
-	grantType := rk.ReKey().Type
-	for _, rec := range recs {
-		if rec.Sealed.KEM.Type != grantType {
-			p.audit.Append(AuditEntry{
-				Proxy: p.name, PatientID: patientID, RecordID: rec.ID,
-				Category: c, Requester: requester, Outcome: OutcomeStaleGrant, Note: note,
-			})
-			return staleErr(patientID, c, requester, grantType, rec.Sealed.KEM.Type)
-		}
-	}
-	cts := make([]*hybrid.Ciphertext, len(recs))
-	for i, rec := range recs {
-		cts[i] = rec.Sealed
-	}
-	next := 0
-	var yieldErr error // consumer rejection, not a transformation failure
-	revoked := false
-	err = hybrid.ReEncryptStream(cts, rk, 0, func(rct *hybrid.ReCiphertext) error {
-		rec := recs[next]
-		next++
-		// Re-check liveness before the record leaves the proxy: a revoked
-		// pair — or one re-keyed to a fresh grant — must not keep being
-		// served from the snapshot this stream started with.
-		if cur, live := p.lookup(patientID, c, requester); !live || cur != rk {
-			revoked = true
-			return fmt.Errorf("%w: %s/%s for %s (revoked mid-stream)", ErrNoGrant, patientID, c, requester)
-		}
-		if e := yield(rct); e != nil {
-			yieldErr = e
-			return e
-		}
-		// Audit after delivery, so the log records what actually left the
-		// proxy: a record whose frame never reached the consumer is not
-		// logged as disclosed.
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: rec.PatientID, RecordID: rec.ID,
-			Category: rec.Category, Requester: requester, Outcome: outcome, Note: note,
-		})
-		return nil
-	})
-	// A mid-stream revocation is audited as the denial it is; only a
-	// re-encryption failure is a proxy error; a consumer that stops the
-	// stream (client disconnect, cancel) has every delivered record
-	// audited already.
-	switch {
-	case revoked:
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeNoGrant, Note: note,
-		})
-	case err != nil && yieldErr == nil:
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeError, Note: note,
-		})
-	}
-	return err
+	return p.disclose(disclosure{patientID: patientID, category: c, requester: requester, outcome: OutcomeGranted},
+		func() ([]*EncryptedRecord, error) { return store.ListByPatientCategory(patientID, c) }, yield)
 }
 
 // BreakGlass is the emergency-access bulk disclosure path: identical
@@ -288,23 +162,77 @@ func (p *Proxy) BreakGlass(store Backend, patientID string, c Category, requeste
 	if reason == "" {
 		return ErrBreakGlassReason
 	}
-	return p.discloseCategoryStream(store, patientID, c, requester, OutcomeBreakGlass, reason, yield)
+	return p.disclose(disclosure{patientID: patientID, category: c, requester: requester, outcome: OutcomeBreakGlass, note: reason},
+		func() ([]*EncryptedRecord, error) { return store.ListByPatientCategory(patientID, c) }, yield)
 }
 
-// DiscloseCategoryParallel is DiscloseCategory with the re-encryption
-// work spread across the worker pool: same results in the same (insertion)
-// order, near-linear scaling in GOMAXPROCS on multi-record patients (the
-// BenchmarkDiscloseCategory serial/parallel pair measures this).
-func (p *Proxy) DiscloseCategoryParallel(store Backend, patientID string, c Category, requester string) ([]*hybrid.ReCiphertext, error) {
-	var out []*hybrid.ReCiphertext
-	err := p.DiscloseCategoryStream(store, patientID, c, requester, func(rct *hybrid.ReCiphertext) error {
-		out = append(out, rct)
+// disclose is the one disclosure engine behind every entry point. It
+// checks the grant, and only then fetches the records, so a denied
+// request reads nothing from the store. It checks every record's sealed
+// epoch against the grant, re-encrypts through hybrid.ReEncryptStream
+// (inline for a single record), re-checks the grant before each release,
+// and audits each record after delivery.
+func (p *Proxy) disclose(d disclosure, fetch func() ([]*EncryptedRecord, error), yield func(*hybrid.ReCiphertext) error) error {
+	audit := func(o Outcome, recordID string) {
+		p.audit.Append(AuditEntry{
+			Proxy: p.name, PatientID: d.patientID, RecordID: recordID,
+			Category: d.category, Requester: d.requester, Outcome: o, Note: d.note,
+		})
+	}
+	rk, ok := p.lookup(d.patientID, d.category, d.requester)
+	if !ok {
+		audit(OutcomeNoGrant, d.recordID)
+		return fmt.Errorf("%w: %s/%s for %s", ErrNoGrant, d.patientID, d.category, d.requester)
+	}
+	recs, err := fetch()
+	if err != nil {
+		audit(OutcomeError, d.recordID)
+		return err
+	}
+	grantType := rk.ReKey().Type
+	cts := make([]*hybrid.Ciphertext, len(recs))
+	for i, rec := range recs {
+		if rec.Sealed.KEM.Type != grantType {
+			audit(OutcomeStaleGrant, rec.ID)
+			return fmt.Errorf("%w: %s/%s for %s (grant epoch %q, records sealed as %q)",
+				ErrStaleGrant, d.patientID, d.category, d.requester, grantType, rec.Sealed.KEM.Type)
+		}
+		cts[i] = rec.Sealed
+	}
+	next := 0
+	var yieldErr error // consumer rejection, not a transformation failure
+	revoked := false
+	err = hybrid.ReEncryptStream(cts, rk, 0, func(rct *hybrid.ReCiphertext) error {
+		rec := recs[next]
+		next++
+		// Re-check liveness before the record leaves the proxy: a revoked
+		// pair — or one re-keyed to a fresh grant — must not keep being
+		// served from the snapshot this request started with.
+		if cur, live := p.lookup(d.patientID, d.category, d.requester); !live || cur != rk {
+			revoked = true
+			return fmt.Errorf("%w: %s/%s for %s (revoked mid-stream)", ErrNoGrant, d.patientID, d.category, d.requester)
+		}
+		if e := yield(rct); e != nil {
+			yieldErr = e
+			return e
+		}
+		// Audit after delivery, so the log records what actually left the
+		// proxy: a record whose frame never reached the consumer is not
+		// logged as disclosed.
+		audit(d.outcome, rec.ID)
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	// A mid-stream revocation is audited as the denial it is; only a
+	// re-encryption failure is a proxy error; a consumer that stops the
+	// stream (client disconnect, cancel) has every delivered record
+	// audited already.
+	switch {
+	case revoked:
+		audit(OutcomeNoGrant, d.recordID)
+	case err != nil && yieldErr == nil:
+		audit(OutcomeError, d.recordID)
 	}
-	return out, nil
+	return err
 }
 
 // CompromisedGrants models a corrupted proxy: the attacker walks away with

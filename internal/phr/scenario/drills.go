@@ -137,7 +137,8 @@ func RevocationDrill(seed int64) (*Drill, error) {
 		return nil, err
 	}
 
-	var serialErr, bulkErr, parallelErr, streamErr error
+	const reason = "unconscious on arrival"
+	var serialErr, bulkErr, streamErr, breakGlassErr error
 	streamYields := 0
 	var midErr error
 	midYields := 0
@@ -153,7 +154,8 @@ func RevocationDrill(seed int64) (*Drill, error) {
 						return err
 					}
 					// Warm the prepared grant's pairing cache on the
-					// serial, parallel, and streaming paths.
+					// single-record path; the bulk invariant below warms
+					// the streaming path.
 					recs, err := w.Service.Store.ListByPatientCategory(patient.ID(), phr.CategoryEmergency)
 					if err != nil {
 						return err
@@ -194,10 +196,10 @@ func RevocationDrill(seed int64) (*Drill, error) {
 						return err
 					}
 					_, serialErr = w.Service.Request(recs[0].ID, requester.ID)
-					_, bulkErr = proxy.DiscloseCategory(w.Service.Store, patient.ID(), phr.CategoryEmergency, requester.ID)
-					_, parallelErr = proxy.DiscloseCategoryParallel(w.Service.Store, patient.ID(), phr.CategoryEmergency, requester.ID)
+					_, bulkErr = w.Service.ReadCategory(patient.ID(), phr.CategoryEmergency, requester)
 					streamErr = proxy.DiscloseCategoryStream(w.Service.Store, patient.ID(), phr.CategoryEmergency, requester.ID,
 						func(*hybrid.ReCiphertext) error { streamYields++; return nil })
+					_, breakGlassErr = w.Service.BreakGlass(patient.ID(), requester.ID, reason)
 					return nil
 				},
 				Invariants: []Invariant{
@@ -209,8 +211,8 @@ func RevocationDrill(seed int64) (*Drill, error) {
 					}},
 					errIs("serial-path-denied", &serialErr, phr.ErrNoGrant),
 					errIs("bulk-path-denied", &bulkErr, phr.ErrNoGrant),
-					errIs("parallel-path-denied", &parallelErr, phr.ErrNoGrant),
 					errIs("stream-path-denied", &streamErr, phr.ErrNoGrant),
+					errIs("break-glass-path-denied", &breakGlassErr, phr.ErrNoGrant),
 					{Name: "stream-released-nothing", Check: func() error {
 						if streamYields != 0 {
 							return fmt.Errorf("revoked stream released %d records", streamYields)
@@ -351,7 +353,8 @@ func KeyRotationDrill(seed int64) (*Drill, error) {
 						return err
 					}
 					_, staleSerialErr = w.Service.Request(recs[0].ID, requester.ID)
-					_, staleBulkErr = proxy.DiscloseCategoryParallel(w.Service.Store, patient.ID(), phr.CategoryMedication, requester.ID)
+					staleBulkErr = proxy.DiscloseCategoryStream(w.Service.Store, patient.ID(), phr.CategoryMedication, requester.ID,
+						func(*hybrid.ReCiphertext) error { return nil })
 					return nil
 				},
 				Invariants: []Invariant{

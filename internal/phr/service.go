@@ -86,10 +86,11 @@ func (s *Service) Grant(p *Patient, requesterParams *ibe.Params, requesterID str
 	return p.Grant(proxy, requesterParams, requesterID, c, nil)
 }
 
-// Request performs the full disclosure flow for one record: route to the
-// category proxy, re-encrypt, and return the transformed ciphertext. The
-// requester decrypts locally with their own key (the service never holds
-// requester keys).
+// Request performs the full disclosure flow for one record: fetch it once,
+// route it to its category's proxy, re-encrypt, and return the transformed
+// ciphertext. The requester decrypts locally with their own key (the
+// service never holds requester keys). An unknown record is ErrNotFound
+// before any proxy sees the request, so it leaves no audit entry.
 func (s *Service) Request(recordID, requesterID string) (*hybrid.ReCiphertext, error) {
 	rec, err := s.Store.Get(recordID)
 	if err != nil {
@@ -99,7 +100,7 @@ func (s *Service) Request(recordID, requesterID string) (*hybrid.ReCiphertext, e
 	if err != nil {
 		return nil, err
 	}
-	return proxy.Disclose(s.Store, recordID, requesterID)
+	return proxy.Disclose(rec, requesterID)
 }
 
 // Read is the requester-side convenience wrapper: request + decrypt.
@@ -134,25 +135,25 @@ func (s *Service) BreakGlass(patientID, requesterID, reason string) ([]*hybrid.R
 	return out, nil
 }
 
-// ReadCategory requests and decrypts every record of (patient, category).
-// Re-encryption runs on the parallel bulk path; results keep insertion
-// order.
+// ReadCategory requests and decrypts every record of (patient, category)
+// on the streaming bulk path, decrypting each record as it is released;
+// results keep insertion order.
 func (s *Service) ReadCategory(patientID string, c Category, requester *ibe.PrivateKey) ([][]byte, error) {
 	proxy, err := s.ProxyFor(c)
 	if err != nil {
 		return nil, err
 	}
-	rcts, err := proxy.DiscloseCategoryParallel(s.Store, patientID, c, requester.ID)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, 0, len(rcts))
-	for _, rct := range rcts {
+	var out [][]byte
+	err = proxy.DiscloseCategoryStream(s.Store, patientID, c, requester.ID, func(rct *hybrid.ReCiphertext) error {
 		body, err := hybrid.DecryptReEncrypted(requester, rct)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out = append(out, body)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

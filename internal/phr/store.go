@@ -3,7 +3,6 @@ package phr
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -13,28 +12,21 @@ var (
 	ErrDuplicate = errors.New("phr: duplicate record id")
 )
 
-// patientCategory is the composite secondary-index key.
-type patientCategory struct {
-	patient  string
-	category Category
-}
-
 // memBackend is the in-memory Backend: a primary index by record ID and
-// secondary indexes by patient and by (patient, category), all behind one
-// RWMutex. It stands in for the semi-trusted database of §5: it sees only
-// sealed bodies and routing metadata. All methods are safe for concurrent
-// use.
+// the shared RecordIndex by patient and by (patient, category), all behind
+// one RWMutex. It stands in for the semi-trusted database of §5: it sees
+// only sealed bodies and routing metadata. All methods are safe for
+// concurrent use.
 //
 // Stored records are never mutated after insertion (Put/Replace store
 // private clones), so the read paths can copy the record pointers under
 // the RLock and clone outside it — the lock is held for O(ids), not
 // O(bytes cloned).
 type memBackend struct {
-	mu        sync.RWMutex
-	closed    bool                         // phrlint:guardedby mu
-	byID      map[string]*EncryptedRecord  // phrlint:guardedby mu
-	byPatient map[string][]string          // phrlint:guardedby mu — patient → record IDs, insertion order
-	byPatCat  map[patientCategory][]string // phrlint:guardedby mu
+	mu     sync.RWMutex
+	closed bool                        // phrlint:guardedby mu
+	byID   map[string]*EncryptedRecord // phrlint:guardedby mu
+	index  RecordIndex                 // phrlint:guardedby mu
 }
 
 // NewStore returns an empty in-memory backend — the default storage layer
@@ -43,11 +35,7 @@ type memBackend struct {
 func NewStore() Backend { return newMemBackend() }
 
 func newMemBackend() *memBackend {
-	return &memBackend{
-		byID:      map[string]*EncryptedRecord{},
-		byPatient: map[string][]string{},
-		byPatCat:  map[patientCategory][]string{},
-	}
+	return &memBackend{byID: map[string]*EncryptedRecord{}}
 }
 
 // Put inserts a record. It fails with ErrDuplicate if the ID exists.
@@ -65,9 +53,7 @@ func (s *memBackend) Put(r *EncryptedRecord) error {
 	}
 	cp := r.Clone()
 	s.byID[cp.ID] = cp
-	s.byPatient[cp.PatientID] = append(s.byPatient[cp.PatientID], cp.ID)
-	key := patientCategory{cp.PatientID, cp.Category}
-	s.byPatCat[key] = append(s.byPatCat[key], cp.ID)
+	s.index.Add(cp.ID, cp.PatientID, cp.Category)
 	return nil
 }
 
@@ -118,20 +104,7 @@ func (s *memBackend) Delete(id string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	delete(s.byID, id)
-	// Drop emptied index keys outright: under record churn, keeping
-	// empty-slice entries leaks one map key per (patient) and
-	// (patient, category) ever seen.
-	if rest := removeString(s.byPatient[r.PatientID], id); len(rest) > 0 {
-		s.byPatient[r.PatientID] = rest
-	} else {
-		delete(s.byPatient, r.PatientID)
-	}
-	key := patientCategory{r.PatientID, r.Category}
-	if rest := removeString(s.byPatCat[key], id); len(rest) > 0 {
-		s.byPatCat[key] = rest
-	} else {
-		delete(s.byPatCat, key)
-	}
+	s.index.Remove(id, r.PatientID, r.Category)
 	return nil
 }
 
@@ -142,23 +115,6 @@ func (s *memBackend) Close() error {
 	defer s.mu.Unlock()
 	s.closed = true
 	return nil
-}
-
-// indexSizes reports the number of live secondary-index keys; a test hook
-// for the churn-leak regression.
-func (s *memBackend) indexSizes() (patients, patientCategories int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byPatient), len(s.byPatCat)
-}
-
-func removeString(xs []string, x string) []string {
-	for i, v := range xs {
-		if v == x {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
 }
 
 // collect copies the record pointers for a list of IDs under the RLock.
@@ -186,7 +142,7 @@ func cloneAll(recs []*EncryptedRecord) []*EncryptedRecord {
 // ListByPatient returns all records of a patient in insertion order.
 func (s *memBackend) ListByPatient(patientID string) ([]*EncryptedRecord, error) {
 	s.mu.RLock()
-	recs := s.collect(s.byPatient[patientID])
+	recs := s.collect(s.index.IDs(patientID))
 	s.mu.RUnlock()
 	return cloneAll(recs), nil
 }
@@ -195,7 +151,7 @@ func (s *memBackend) ListByPatient(patientID string) ([]*EncryptedRecord, error)
 // insertion order — the secondary-index read path proxies use.
 func (s *memBackend) ListByPatientCategory(patientID string, c Category) ([]*EncryptedRecord, error) {
 	s.mu.RLock()
-	recs := s.collect(s.byPatCat[patientCategory{patientID, c}])
+	recs := s.collect(s.index.IDsIn(patientID, c))
 	s.mu.RUnlock()
 	return cloneAll(recs), nil
 }
@@ -211,37 +167,19 @@ func (s *memBackend) Count() int {
 func (s *memBackend) CountByPatient(patientID string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byPatient[patientID])
+	return s.index.CountByPatient(patientID)
 }
 
 // Patients returns the sorted list of patient IDs with at least one record.
 func (s *memBackend) Patients() []string {
 	s.mu.RLock()
-	out := make([]string, 0, len(s.byPatient))
-	for p, ids := range s.byPatient {
-		if len(ids) > 0 {
-			out = append(out, p)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	defer s.mu.RUnlock()
+	return s.index.Patients()
 }
 
 // Categories returns the sorted distinct categories stored for a patient.
 func (s *memBackend) Categories(patientID string) []Category {
 	s.mu.RLock()
-	seen := map[Category]bool{}
-	for key, ids := range s.byPatCat {
-		if key.patient == patientID && len(ids) > 0 {
-			seen[key.category] = true
-		}
-	}
-	s.mu.RUnlock()
-	out := make([]Category, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer s.mu.RUnlock()
+	return s.index.Categories(patientID)
 }

@@ -37,120 +37,68 @@ func benchPopulate(b *testing.B, n int) *memBackend {
 	return s
 }
 
-// listLegacy is the pre-refactor read path: records are deep-cloned while
-// the read lock is held, so every concurrent reader serializes behind
-// clone work and writers stall behind all of it.
-func (s *memBackend) listLegacy(patientID string) []*EncryptedRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*EncryptedRecord, 0, len(s.byPatient[patientID]))
-	for _, id := range s.byPatient[patientID] {
-		if r, ok := s.byID[id]; ok {
-			out = append(out, r.Clone())
-		}
-	}
-	return out
-}
-
 // BenchmarkListByPatient512 measures the bulk-disclosure read path at the
-// 512-record patient size used by the service benchmarks, comparing the
-// legacy clone-under-lock path against the current one (pointer snapshot
-// under RLock, clone outside). The interesting axis is parallelism: the
-// clone work no longer serializes readers against each other or writers.
+// 512-record patient size used by the service benchmarks, from parallel
+// readers: the pointer snapshot is taken under the RLock and the records
+// are cloned outside it, so clone work does not serialize readers.
 func BenchmarkListByPatient512(b *testing.B) {
 	const records = 512
-	for _, bc := range []struct {
-		name string
-		list func(s *memBackend) int
-	}{
-		{"legacy-clone-under-lock", func(s *memBackend) int {
-			return len(s.listLegacy("patient-000@phr.example"))
-		}},
-		{"clone-outside-lock", func(s *memBackend) int {
-			recs, err := s.ListByPatient("patient-000@phr.example")
-			if err != nil {
-				return -1
+	s := benchPopulate(b, records)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if recs, err := s.ListByPatient("patient-000@phr.example"); err != nil || len(recs) != records {
+				b.Fatalf("listed %d records (%v), want %d", len(recs), err, records)
 			}
-			return len(recs)
-		}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := benchPopulate(b, records)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if got := bc.list(s); got != records {
-						b.Fatalf("listed %d records, want %d", got, records)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkPutDuringBulkReads512 measures what the lock-hold fix actually
-// buys: writer latency while readers bulk-list a 512-record patient. The
-// legacy path holds the RLock for the whole clone (~100µs), so a writer's
-// Lock waits for every in-flight clone to drain — and, because RWMutex
-// blocks new readers once a writer waits, each slow reader also convoys
-// everyone else. The current path holds the RLock only for the pointer
-// snapshot, so writers slip in between clones.
+// BenchmarkPutDuringBulkReads512 measures writer latency while readers
+// bulk-list a 512-record patient. The read path holds the RLock only for
+// the pointer snapshot, so writers slip in between clones instead of
+// waiting for every in-flight clone to drain.
 func BenchmarkPutDuringBulkReads512(b *testing.B) {
 	const records = 512
-	for _, bc := range []struct {
-		name string
-		list func(s *memBackend) int
-	}{
-		{"legacy-clone-under-lock", func(s *memBackend) int {
-			return len(s.listLegacy("patient-000@phr.example"))
-		}},
-		{"clone-outside-lock", func(s *memBackend) int {
-			recs, _ := s.ListByPatient("patient-000@phr.example")
-			return len(recs)
-		}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := benchPopulate(b, records)
-			sealed := mustGet(b, s, "bench/000000").Sealed
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if got := bc.list(s); got != records {
-							return
-						}
-					}
-				}()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := &EncryptedRecord{
-					ID:        fmt.Sprintf("writer/%d", i),
-					PatientID: "patient-writer@phr.example",
-					Category:  CategoryEmergency,
-					Sealed:    sealed,
+	s := benchPopulate(b, records)
+	sealed := mustGet(b, s, "bench/000000").Sealed
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				if err := s.Put(rec); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Delete(rec.ID); err != nil {
-					b.Fatal(err)
+				if recs, _ := s.ListByPatient("patient-000@phr.example"); len(recs) != records {
+					return
 				}
 			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-		})
+		}()
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := &EncryptedRecord{
+			ID:        fmt.Sprintf("writer/%d", i),
+			PatientID: "patient-writer@phr.example",
+			Category:  CategoryEmergency,
+			Sealed:    sealed,
+		}
+		if err := s.Put(rec); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Delete(rec.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
 }
 
 func mustGet(b *testing.B, s *memBackend, id string) *EncryptedRecord {

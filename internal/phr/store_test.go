@@ -1,82 +1,49 @@
 package phr
 
-import (
-	"errors"
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// TestStoreDeleteReleasesIndexKeys is the churn-leak regression: empty
-// secondary-index slices must be dropped with their map keys, so index-map
-// sizes return to zero after put/delete cycles.
-func TestStoreDeleteReleasesIndexKeys(t *testing.T) {
-	s := newMemBackend()
-	const cycles = 5
-	for cycle := 0; cycle < cycles; cycle++ {
-		var ids []string
-		for p := 0; p < 4; p++ {
-			for r := 0; r < 3; r++ {
-				id := fmt.Sprintf("cycle%d/patient%d/rec%d", cycle, p, r)
-				rec := &EncryptedRecord{
-					ID:        id,
-					PatientID: fmt.Sprintf("patient-%d", p),
-					Category:  StandardCategories()[r%len(StandardCategories())],
-				}
-				if err := s.Put(rec); err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, id)
-			}
-		}
-		patients, patCats := s.indexSizes()
-		if patients != 4 || patCats != 12 {
-			t.Fatalf("cycle %d: live index sizes = (%d, %d), want (4, 12)", cycle, patients, patCats)
-		}
-		for _, id := range ids {
-			if err := s.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		patients, patCats = s.indexSizes()
-		if patients != 0 || patCats != 0 {
-			t.Fatalf("cycle %d: index keys leaked after full delete: byPatient=%d byPatCat=%d",
-				cycle, patients, patCats)
-		}
-		if s.Count() != 0 {
-			t.Fatalf("cycle %d: %d records remain", cycle, s.Count())
-		}
+// sizes reports the number of live index keys — patients and (patient,
+// category) pairs; the test hook of the churn-leak regression.
+func (x *RecordIndex) sizes() (patients, patientCategories int) {
+	for _, p := range x.patients {
+		patientCategories += len(p.byCat)
 	}
+	return len(x.patients), patientCategories
 }
 
-// TestStoreDeletePartialKeepsSiblingKeys checks that deleting one record
-// does not drop an index key other records still need.
-func TestStoreDeletePartialKeepsSiblingKeys(t *testing.T) {
-	s := newMemBackend()
-	a := &EncryptedRecord{ID: "r1", PatientID: "alice", Category: CategoryEmergency}
-	b := &EncryptedRecord{ID: "r2", PatientID: "alice", Category: CategoryEmergency}
-	c := &EncryptedRecord{ID: "r3", PatientID: "alice", Category: CategoryMedication}
-	for _, r := range []*EncryptedRecord{a, b, c} {
-		if err := s.Put(r); err != nil {
-			t.Fatal(err)
+// TestRecordIndexDropsEmptiedKeys is the churn-leak regression at the
+// index both backends share: emptied patient and (patient, category) keys
+// are dropped with their last record, so key counts return to zero after
+// add/remove cycles, while a partial removal keeps the keys siblings
+// still need.
+func TestRecordIndexDropsEmptiedKeys(t *testing.T) {
+	var x RecordIndex
+	cats := StandardCategories()[:3]
+	for cycle := 0; cycle < 3; cycle++ {
+		for _, c := range cats {
+			x.Add("a-"+string(c), "alice", c)
+			x.Add("b-"+string(c), "bob", c)
 		}
-	}
-	if err := s.Delete("r1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := mustList(t, s, "alice", CategoryEmergency); len(got) != 1 || got[0].ID != "r2" {
-		t.Fatalf("emergency index after partial delete = %v", got)
-	}
-	patients, patCats := s.indexSizes()
-	if patients != 1 || patCats != 2 {
-		t.Fatalf("index sizes = (%d, %d), want (1, 2)", patients, patCats)
-	}
-	if err := s.Delete("r2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, patCats = s.indexSizes(); patCats != 1 {
-		t.Fatalf("emptied (alice, emergency) key not dropped: byPatCat=%d", patCats)
-	}
-	if err := s.Delete("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("got %v, want ErrNotFound", err)
+		x.Add("a-extra", "alice", cats[0])
+		if p, pc := x.sizes(); p != 2 || pc != 6 {
+			t.Fatalf("cycle %d: live index sizes = (%d, %d), want (2, 6)", cycle, p, pc)
+		}
+		x.Remove("a-"+string(cats[0]), "alice", cats[0])
+		if p, pc := x.sizes(); p != 2 || pc != 6 {
+			t.Fatalf("cycle %d: partial removal dropped a sibling key: (%d, %d), want (2, 6)", cycle, p, pc)
+		}
+		x.Remove("a-extra", "alice", cats[0])
+		if _, pc := x.sizes(); pc != 5 {
+			t.Fatalf("cycle %d: emptied (alice, %s) key kept: %d keys, want 5", cycle, cats[0], pc)
+		}
+		for _, c := range cats[1:] {
+			x.Remove("a-"+string(c), "alice", c)
+		}
+		for _, c := range cats {
+			x.Remove("b-"+string(c), "bob", c)
+		}
+		if p, pc := x.sizes(); p != 0 || pc != 0 {
+			t.Fatalf("cycle %d: index keys leaked after full removal: (%d, %d)", cycle, p, pc)
+		}
 	}
 }
