@@ -66,6 +66,26 @@ func BenchmarkFp12Square(b *testing.B) {
 	}
 }
 
+func BenchmarkFp12CyclotomicSquare(b *testing.B) {
+	x := GTExpBase(benchScalar()).v
+	var out fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.cyclotomicSquare(&x)
+	}
+}
+
+func BenchmarkMulByLine(b *testing.B) {
+	r := rand.New(rand.NewSource(9))
+	x := randFp12(r)
+	A, B, C := randFp2(r), randFp2(r), randFp2(r)
+	var out fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.mulByLine(x, A, B, C)
+	}
+}
+
 func BenchmarkFp12Inverse(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
 	x := randFp12(r)
@@ -119,7 +139,7 @@ func BenchmarkFp12ExpWindowed(b *testing.B) {
 	var out fp12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.expWindowed(x, k)
+		out.Exp(x, k)
 	}
 }
 
@@ -214,10 +234,6 @@ func BenchmarkPair(b *testing.B) {
 		Pair(p, q)
 	}
 }
-
-// BenchmarkPairNaive is a legacy alias for BenchmarkPair, kept so recorded
-// benchmark histories remain comparable across runs.
-func BenchmarkPairNaive(b *testing.B) { BenchmarkPair(b) }
 
 func BenchmarkG1ScalarBaseMultFixed(b *testing.B) {
 	k := benchScalar()

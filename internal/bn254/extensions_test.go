@@ -271,7 +271,7 @@ func TestExpWindowedMatchesBinary(t *testing.T) {
 		a := randFp12(r)
 		k := new(big.Int).Rand(r, Order)
 		var w, b fp12
-		w.expWindowed(a, k)
+		w.Exp(a, k)
 		b.expBinary(a, k)
 		return w.Equal(&b)
 	}
@@ -294,7 +294,7 @@ func TestExpEdgeExponents(t *testing.T) {
 	if !out.Equal(a) {
 		t.Fatal("a^1 != a")
 	}
-	// A 65-bit exponent exercises the windowed path boundary.
+	// A 65-bit exponent whose top nibble is a single bit.
 	k := new(big.Int).Lsh(big.NewInt(1), 64)
 	k.Add(k, big.NewInt(3))
 	var w, b fp12

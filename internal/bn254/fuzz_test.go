@@ -200,6 +200,43 @@ func FuzzFp2VsBig(f *testing.F) {
 	})
 }
 
+// FuzzCyclotomicVsGeneric maps the input to a GT element g = GTExpBase(k)
+// with k from the first 32 bytes and to an exponent e from the rest, then
+// checks the cyclotomic kernels against the generic Fp12 ones:
+// cyclotomicSquare against Square, expByU against Exp(·, u), and GT.Exp
+// against Exp(·, e mod r).
+func FuzzCyclotomicVsGeneric(f *testing.F) {
+	f.Add(make([]byte, 64))
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(append(Order.Bytes(), new(big.Int).Sub(Order, big.NewInt(1)).Bytes()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 32 {
+			return
+		}
+		k := new(big.Int).SetBytes(data[:32])
+		e := new(big.Int).SetBytes(data[32:])
+		g := GTExpBase(k)
+
+		var want, got fp12
+		want.Square(&g.v)
+		got.cyclotomicSquare(&g.v)
+		if !got.Equal(&want) {
+			t.Fatalf("cyclotomicSquare != Square for k=%v", k)
+		}
+		want.Exp(&g.v, u)
+		expByU(&got, &g.v)
+		if !got.Equal(&want) {
+			t.Fatalf("expByU != Exp(·, u) for k=%v", k)
+		}
+		want.Exp(&g.v, new(big.Int).Mod(e, Order))
+		var h GT
+		h.Exp(g, e)
+		if !h.v.Equal(&want) {
+			t.Fatalf("GT.Exp != generic Exp for k=%v, e=%v", k, e)
+		}
+	})
+}
+
 func FuzzHashToZr(f *testing.F) {
 	f.Add([]byte("type"))
 	f.Add([]byte{})

@@ -138,40 +138,17 @@ func (p *G1) Add(a, b *G1) *G1 {
 }
 
 // ScalarMult sets p = k·a (k taken mod r) and returns p. It runs on the
-// Jacobian-coordinate ladder; scalarMultAffine is the property-tested
-// reference implementation and E1 ablation.
+// Jacobian-coordinate ladder; the affine ladder scalarMultAffine in
+// reference_test.go is its property-tested reference.
 func (p *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 	return scalarMultJacobianG1(p, a, k)
 }
 
-// scalarMultAffine is the double-and-add ladder in affine coordinates
-// (one modular inversion per step). Kept as the reference implementation.
-func (p *G1) scalarMultAffine(a *G1, k *big.Int) *G1 {
-	kk := new(big.Int).Mod(k, Order)
-	var acc G1
-	acc.inf = true
-	var base G1
-	base.Set(a)
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		if kk.Bit(i) == 1 {
-			acc.Add(&acc, &base)
-		}
-	}
-	return p.Set(&acc)
-}
-
 // ScalarBaseMult sets p = k·G where G is the fixed generator, and returns p.
 // It runs on the lazily built fixed-base window table (see precompute.go);
-// scalarBaseMultGeneric is the property-tested reference path.
+// tests pin it to the generic ladder (scalarBaseMultGeneric).
 func (p *G1) ScalarBaseMult(k *big.Int) *G1 {
 	return g1GeneratorTable().mul(p, k)
-}
-
-// scalarBaseMultGeneric computes k·G through the generic ladder, without
-// the fixed-base table. Reference implementation for tests and benchmarks.
-func (p *G1) scalarBaseMultGeneric(k *big.Int) *G1 {
-	return p.ScalarMult(&g1Gen, k)
 }
 
 // g1ElementSize is the marshaled size of one coordinate in bytes.

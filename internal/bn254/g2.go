@@ -183,39 +183,17 @@ func (p *G2) Add(a, b *G2) *G2 {
 // field arithmetic a constant-time-ish Fp2 inversion costs hundreds of
 // base-field multiplications, so the Jacobian ladder (which trades the
 // per-step inversion for ~12 extra Fp2 multiplications) wins decisively —
-// the reverse of the old math/big trade-off. scalarMultAffine is kept as
-// the property-tested reference.
+// the reverse of the old math/big trade-off. The affine ladder
+// scalarMultAffine in reference_test.go is the property-tested reference.
 func (p *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 	return scalarMultJacobianG2(p, a, k)
 }
 
-// scalarMultAffine is the double-and-add ladder in affine coordinates.
-func (p *G2) scalarMultAffine(a *G2, k *big.Int) *G2 {
-	kk := new(big.Int).Mod(k, Order)
-	var acc G2
-	acc.inf = true
-	var base G2
-	base.Set(a)
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		if kk.Bit(i) == 1 {
-			acc.Add(&acc, &base)
-		}
-	}
-	return p.Set(&acc)
-}
-
 // ScalarBaseMult sets p = k·G where G is the fixed generator, and returns p.
 // It runs on the lazily built fixed-base window table (see precompute.go);
-// scalarBaseMultGeneric is the property-tested reference path.
+// tests pin it to the generic ladder (scalarBaseMultGeneric).
 func (p *G2) ScalarBaseMult(k *big.Int) *G2 {
 	return g2GeneratorTable().mul(p, k)
-}
-
-// scalarBaseMultGeneric computes k·G through the generic ladder, without
-// the fixed-base table. Reference implementation for tests and benchmarks.
-func (p *G2) scalarBaseMultGeneric(k *big.Int) *G2 {
-	return p.ScalarMult(&g2Gen, k)
 }
 
 // frobeniusTwist sets p = π(a), the p-power Frobenius endomorphism carried

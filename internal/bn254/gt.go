@@ -58,14 +58,17 @@ func (g *GT) Div(a, b *GT) *GT {
 }
 
 // Exp sets g = a^k (k taken mod r; negative k uses the inverse) and
-// returns g.
+// returns g. It is a width-5 signed-window exponentiation on cyclotomic
+// squarings, which is exact only because a is in GT: for an Unmarshal'ed
+// value that fails IsInSubgroup the result is unspecified.
 func (g *GT) Exp(a *GT, k *big.Int) *GT {
 	kk := new(big.Int).Mod(k, Order)
-	g.v.Exp(&a.v, kk)
+	g.v.cyclotomicExp(&a.v, wnaf(kk, gtExpWindow), gtExpWindow)
 	return g
 }
 
-// IsInSubgroup reports whether g^r == 1.
+// IsInSubgroup reports whether g^r == 1. It must judge elements outside
+// GT, so it runs the generic fp12.Exp rather than the cyclotomic one.
 func (g *GT) IsInSubgroup() bool {
 	var t fp12
 	t.Exp(&g.v, Order)

@@ -10,9 +10,9 @@ import (
 // (X, Y, Z) represents the affine point (X/Z², Y/Z³); doubling and mixed
 // addition avoid the per-step field inversion of the affine formulas, which
 // dominates their cost (a constant-time inversion is hundreds of
-// multiplications). ScalarMult uses these paths; the affine ladder is kept
-// as the property-tested reference (scalarMultAffine) and as the E1
-// ablation.
+// multiplications). ScalarMult uses these paths; the affine ladder
+// (scalarMultAffine in reference_test.go) is their property-tested
+// reference and the ablation benchmark's baseline.
 
 // g1Jac is a G1 point in Jacobian coordinates; Z=0 encodes infinity.
 type g1Jac struct {
