@@ -17,7 +17,8 @@
 // counters and an in-flight gauge, served on GET /v1/metrics) so numbers
 // reported by the cmd/phrload harness can be attributed server-side, and
 // optionally binds net/http/pprof on a separate address for profiling
-// under load.
+// under load. Both listeners bound how long a client may take to send a
+// request and how long an idle connection stays open (newHTTPServer).
 package main
 
 import (
@@ -75,7 +76,7 @@ func main() {
 		go func() {
 			// pprof handlers live on DefaultServeMux; the API server below
 			// uses its own mux, so profiling stays off the service address.
-			log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil))
+			log.Printf("pprof: %v", newHTTPServer(*pprofAddr, http.DefaultServeMux).ListenAndServe())
 		}()
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
@@ -87,7 +88,7 @@ func main() {
 		fmt.Printf("  %-20s served by %s\n", c, p.Name())
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: phr.NewServer(svc)}
+	srv := newHTTPServer(*addr, phr.NewServer(svc))
 
 	// Graceful shutdown: stop accepting requests, drain in-flight ones,
 	// then Close the backend so interval-mode disk stores flush their tail.
@@ -113,6 +114,36 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+}
+
+// Limits every listener of the server applies, so a slow or hostile
+// client cannot hold a connection or its memory indefinitely.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds reading a whole request, headers and body: a
+	// phr.MaxRecordBytes upload at ~300 KB/s still fits.
+	readTimeout = 60 * time.Second
+	// idleTimeout closes a keep-alive connection that sends no new request.
+	idleTimeout = 120 * time.Second
+	// maxHeaderBytes caps the request line plus headers.
+	maxHeaderBytes = 64 << 10
+)
+
+// newHTTPServer builds an http.Server for addr with the limits above.
+// WriteTimeout stays unset on purpose: a category stream legitimately
+// writes for seconds, and so does a pprof CPU profile, so a whole-response
+// write deadline would cut healthy responses off.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 func openBackend() (phr.Backend, error) {

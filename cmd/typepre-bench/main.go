@@ -9,14 +9,19 @@
 //	typepre-bench               # run everything
 //	typepre-bench -e e5         # one experiment
 //	typepre-bench -iters 50     # more timing iterations
+//	typepre-bench -e pairing-stack -json -label after-x   # a BENCH_bn254.json run object
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -36,10 +41,16 @@ import (
 var (
 	experiment = flag.String("e", "all", "experiment to run: e1..e9, pairing-stack, or all")
 	iters      = flag.Int("iters", 20, "timing iterations per data point")
+	jsonOut    = flag.Bool("json", false, "with -e pairing-stack: print one BENCH_bn254.json run object (ns/op) instead of the table")
+	label      = flag.String("label", "pairing-stack", "run label for -json")
 )
 
 func main() {
 	flag.Parse()
+	if *jsonOut && strings.ToLower(*experiment) != "pairing-stack" {
+		fmt.Fprintln(os.Stderr, "-json needs -e pairing-stack")
+		os.Exit(2)
+	}
 	run := map[string]func(){
 		"e1": e1, "e2": e2, "e3": e3, "e4": e4,
 		"e5": e5, "e6": e6, "e7": e7, "e8": e8, "e9": e9,
@@ -64,51 +75,127 @@ func main() {
 	f()
 }
 
-// timeOpN reports the median wall time of one call of f, where each timed
-// sample runs f reps times; used for sub-microsecond field operations that
-// a single time.Now pair cannot resolve.
-func timeOpN(reps int, f func()) time.Duration {
-	d := timeOp(func() {
-		for i := 0; i < reps; i++ {
-			f()
-		}
-	})
-	return d / time.Duration(reps)
+// stackOp is one pairing-stack measurement. bench is the key in the -json
+// run object, named like the `go test -bench` benchmark that measures the
+// same operation; reps > 1 runs f that many times per timed sample, for
+// field operations far below the resolution of one time.Now pair.
+type stackOp struct {
+	row, bench string
+	reps       int
+	f          func()
 }
 
-// pairingStack reports microbenchmarks down the whole pairing arithmetic
-// stack — the Montgomery-limb Fp core, the group operations built on it,
-// and the pairing variants. CI uploads this next to the committed
-// BENCH_bn254.json trajectory; `go test -bench . ./internal/bn254/...`
-// reproduces the same measurements through the testing harness.
-func pairingStack() {
-	header("pairing-stack — Fp limb core through full pairing")
+// pairingStackOps lists the microbenchmarks down the whole pairing
+// arithmetic stack: the Montgomery-limb Fp core, the group operations
+// built on it, and the pairing variants.
+func pairingStackOps() []stackOp {
 	var a, b, out fp.Element
 	a.SetUint64(0xdeadbeefcafef00d)
 	a.Inverse(&a)
 	b.Square(&a)
-	rowNs("Fp mul (Montgomery CIOS)", timeOpN(1024, func() { out.Mul(&a, &b) }))
-	rowNs("Fp square", timeOpN(1024, func() { out.Square(&a) }))
-	rowNs("Fp add", timeOpN(1024, func() { out.Add(&a, &b) }))
-	row("Fp inverse (Fermat, CT)", timeOp(func() { out.Inverse(&a) }))
-	row("Fp sqrt", timeOp(func() { out.Sqrt(&b) }))
 
 	p := bn254.G1Generator()
 	q := bn254.G2Generator()
 	k, err := bn254.RandomScalar(nil)
 	check(err)
 	var g1 bn254.G1
-	row("G1 scalar mult (fixed base)", timeOp(func() { g1.ScalarBaseMult(k) }))
 	var g2 bn254.G2
-	row("G2 scalar mult (fixed base)", timeOp(func() { g2.ScalarBaseMult(k) }))
 	var gt bn254.GT
 	base := bn254.GTBase()
-	row("GT exponentiation", timeOp(func() { gt.Exp(base, k) }))
-	row("GT fixed-base exp", timeOp(func() { bn254.GTExpBase(k) }))
-	row("pairing (optimal ate)", timeOp(func() { bn254.Pair(p, q) }))
 	prep := bn254.G2GeneratorPrepared()
-	row("pairing (prepared G2)", timeOp(func() { bn254.PairPrepared(p, prep) }))
-	row("G2 preparation (one-time)", timeOp(func() { bn254.PrepareG2(q) }))
+
+	return []stackOp{
+		{"Fp mul (no-carry CIOS)", "fp.Mul", 1024, func() { out.Mul(&a, &b) }},
+		{"Fp square", "fp.Square", 1024, func() { out.Square(&a) }},
+		{"Fp add", "fp.Add", 1024, func() { out.Add(&a, &b) }},
+		{"Fp inverse (Fermat, CT)", "fp.Inverse", 1, func() { out.Inverse(&a) }},
+		{"Fp sqrt", "fp.Sqrt", 1, func() { out.Sqrt(&b) }},
+		{"G1 scalar mult (fixed base)", "G1ScalarBaseMultFixed", 1, func() { g1.ScalarBaseMult(k) }},
+		{"G2 scalar mult (fixed base)", "G2ScalarBaseMultFixed", 1, func() { g2.ScalarBaseMult(k) }},
+		{"GT exponentiation", "GTExpBaseGeneric", 1, func() { gt.Exp(base, k) }},
+		{"GT fixed-base exp", "GTExpBaseFixed", 1, func() { bn254.GTExpBase(k) }},
+		{"pairing (optimal ate)", "Pair", 1, func() { bn254.Pair(p, q) }},
+		{"pairing (prepared G2)", "PairPrepared", 1, func() { bn254.PairPrepared(p, prep) }},
+		{"G2 preparation (one-time)", "PrepareG2", 1, func() { bn254.PrepareG2(q) }},
+	}
+}
+
+// stackRun is one run object of BENCH_bn254.json (schema bn254/1).
+type stackRun struct {
+	Label      string             `json:"label"`
+	Rev        string             `json:"rev"`
+	Note       string             `json:"note"`
+	Benchmarks map[string]float64 `json:"benchmarks"`
+}
+
+// pairingStack prints the pairing-stack table, or with -json one
+// BENCH_bn254.json run object. CI uploads both next to the committed
+// BENCH_bn254.json trajectory; `go test -bench . ./internal/bn254/...`
+// reproduces the same measurements through the testing harness.
+func pairingStack() {
+	if err := writePairingStack(os.Stdout, *jsonOut); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func writePairingStack(w io.Writer, asJSON bool) error {
+	if !asJSON {
+		title := "pairing-stack — Fp limb core through full pairing"
+		fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
+	}
+	run := stackRun{
+		Label: *label,
+		Rev:   buildRev(),
+		Note: fmt.Sprintf("typepre-bench -e pairing-stack: median of %d timed samples per operation, %s/%s, %d CPUs, %s",
+			*iters, runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
+		Benchmarks: make(map[string]float64),
+	}
+	for _, op := range pairingStackOps() {
+		ns := float64(timeOp(func() {
+			for i := 0; i < op.reps; i++ {
+				op.f()
+			}
+		})) / float64(op.reps)
+		run.Benchmarks[op.bench] = math.Round(ns*10) / 10
+		if !asJSON {
+			d := time.Duration(ns)
+			if op.reps == 1 {
+				d = d.Round(time.Microsecond)
+			}
+			fmt.Fprintf(w, "  %-28s %12s\n", op.row, d)
+		}
+	}
+	if !asJSON {
+		return nil
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(run)
+}
+
+// buildRev returns the VCS revision `go build` stamped into the binary,
+// with "+dirty" for a modified tree, or "unknown" (e.g. under `go run`).
+func buildRev() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	r, dirty := "", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			r = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if r == "" {
+		return "unknown"
+	}
+	if dirty {
+		r += "+dirty"
+	}
+	return r
 }
 
 // timeOp reports the median wall time of n runs of f.
@@ -130,12 +217,6 @@ func header(title string) {
 
 func row(name string, d time.Duration) {
 	fmt.Printf("  %-28s %12s\n", name, d.Round(time.Microsecond))
-}
-
-// rowNs prints with nanosecond precision, for operations far below the
-// microsecond rounding of row.
-func rowNs(name string, d time.Duration) {
-	fmt.Printf("  %-28s %12s\n", name, d.Round(time.Nanosecond))
 }
 
 // fixture shared by the scheme-level experiments.

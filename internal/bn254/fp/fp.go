@@ -7,10 +7,15 @@
 //	p = 21888242871839275222246405745257275088696311157297823662689037894645226208583
 //
 // (254 bits). An Element stores the residue x as x·R mod p with R = 2^256,
-// little-endian limbs ("Montgomery form"). Products are reduced with the
-// CIOS (coarsely integrated operand scanning) interleaving of schoolbook
-// multiplication and Montgomery reduction, built entirely from
-// math/bits.Mul64/Add64/Sub64 — no assembly, no heap allocation.
+// little-endian limbs ("Montgomery form"). Products use the "no-carry"
+// variant of CIOS (coarsely integrated operand scanning) Montgomery
+// multiplication: four unrolled rounds, each adding one row of the
+// schoolbook product and cancelling one low limb, with the running value
+// in four words and no overflow limb. That is valid because the top limb
+// of p is below 2^63 − 1; since p < 2^255, Add needs no fifth limb either.
+// init panics if either precondition fails. Every kernel is straight-line
+// code over math/bits.Mul64/Add64/Sub64 that canonicalizes its result with
+// a mask, not a branch: no loops, no assembly, no heap allocation.
 //
 // Constant-time contract: Add, Sub, Neg, Double, Mul, Square, Inverse,
 // Sqrt, Select, IsZero, Equal and the Montgomery conversions perform an
@@ -80,6 +85,12 @@ func init() {
 	}
 	if toLimbs(p) != [4]uint64{q0, q1, q2, q3} {
 		panic("fp: modulus limbs do not match decimal modulus")
+	}
+	// Preconditions of the kernels: the no-carry Mul needs a top limb of at
+	// most 2^63 − 2, and Add/Double drop the carry out of the top limb,
+	// which needs p < 2^255.
+	if q3 > 1<<63-2 || p.BitLen() > 255 {
+		panic("fp: modulus violates the no-carry Mul or carry-free Add precondition")
 	}
 
 	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
@@ -171,33 +182,45 @@ func (z *Element) Select(cond uint64, a, b *Element) *Element {
 // Additive arithmetic (constant time)
 // ---------------------------------------------------------------------------
 
-// reduce conditionally subtracts p so that the limbs (with the incoming
-// carry bit) land in [0, p). Constant time.
-func (z *Element) reduce(carry uint64) *Element {
-	var t Element
-	var b uint64
-	t[0], b = bits.Sub64(z[0], q0, 0)
-	t[1], b = bits.Sub64(z[1], q1, b)
-	t[2], b = bits.Sub64(z[2], q2, b)
-	t[3], b = bits.Sub64(z[3], q3, b)
-	// Keep the subtracted value when the subtraction did not borrow, or
-	// when a carry limb means the true value overflowed 2^256.
-	return z.Select(carry|(b^1), &t, z)
-}
-
 // Add sets z = a + b and returns z.
 func (z *Element) Add(a, b *Element) *Element {
-	var c uint64
-	z[0], c = bits.Add64(a[0], b[0], 0)
-	z[1], c = bits.Add64(a[1], b[1], c)
-	z[2], c = bits.Add64(a[2], b[2], c)
-	z[3], c = bits.Add64(a[3], b[3], c)
-	return z.reduce(c)
+	// p < 2^255 (checked at init), so a + b < 2p < 2^256: the sum needs no
+	// fifth limb, and one masked subtraction of p canonicalizes it.
+	t0, c := bits.Add64(a[0], b[0], 0)
+	t1, c := bits.Add64(a[1], b[1], c)
+	t2, c := bits.Add64(a[2], b[2], c)
+	t3, _ := bits.Add64(a[3], b[3], c)
+
+	s0, bo := bits.Sub64(t0, q0, 0)
+	s1, bo := bits.Sub64(t1, q1, bo)
+	s2, bo := bits.Sub64(t2, q2, bo)
+	s3, bo := bits.Sub64(t3, q3, bo)
+	mask := bo - 1 // all-ones iff t ≥ p: keep t − p
+	z[0] = t0 ^ (mask & (t0 ^ s0))
+	z[1] = t1 ^ (mask & (t1 ^ s1))
+	z[2] = t2 ^ (mask & (t2 ^ s2))
+	z[3] = t3 ^ (mask & (t3 ^ s3))
+	return z
 }
 
 // Double sets z = 2a and returns z.
 func (z *Element) Double(a *Element) *Element {
-	return z.Add(a, a)
+	// 2a < 2p < 2^256, so the shift drops no bit.
+	t0 := a[0] << 1
+	t1 := a[1]<<1 | a[0]>>63
+	t2 := a[2]<<1 | a[1]>>63
+	t3 := a[3]<<1 | a[2]>>63
+
+	s0, bo := bits.Sub64(t0, q0, 0)
+	s1, bo := bits.Sub64(t1, q1, bo)
+	s2, bo := bits.Sub64(t2, q2, bo)
+	s3, bo := bits.Sub64(t3, q3, bo)
+	mask := bo - 1
+	z[0] = t0 ^ (mask & (t0 ^ s0))
+	z[1] = t1 ^ (mask & (t1 ^ s1))
+	z[2] = t2 ^ (mask & (t2 ^ s2))
+	z[3] = t3 ^ (mask & (t3 ^ s3))
+	return z
 }
 
 // Sub sets z = a − b and returns z.
@@ -238,56 +261,109 @@ func (z *Element) Neg(a *Element) *Element {
 // Montgomery multiplication (constant time)
 // ---------------------------------------------------------------------------
 
+// madd0 returns the high word of a·b + c.
+func madd0(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	_, carry := bits.Add64(lo, c, 0)
+	return hi + carry
+}
+
+// madd1 returns a·b + c as (hi, lo).
+func madd1(a, b, c uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(a, b)
+	lo, carry := bits.Add64(lo, c, 0)
+	return hi + carry, lo
+}
+
+// madd2 returns a·b + c + d as (hi, lo). The sum is at most
+// (2^64−1)² + 2(2^64−1) = 2^128 − 1, so hi never wraps.
+func madd2(a, b, c, d uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(a, b)
+	c, carry := bits.Add64(c, d, 0)
+	hi += carry
+	lo, carry = bits.Add64(lo, c, 0)
+	return hi + carry, lo
+}
+
 // Mul sets z = a·b (Montgomery product a·b·R⁻¹ mod p) and returns z.
 // Aliasing of z with a or b is allowed.
 //
-// This is Acar's CIOS algorithm: each of the four outer rounds accumulates
-// one partial product row and immediately cancels the low limb with a
-// multiple of p, keeping the working value in five limbs. Because
-// p < 2^255, the result before the final reduction is < 2p, so a single
-// conditional subtraction canonicalizes it.
+// This is the "no-carry" CIOS of Koç–Acar–Kaliski as refined for
+// gnark-crypto (Botrel, Gutoski, Piellard): each of the four rounds adds
+// one row a·b[i] (carry A) and cancels the low limb with m·p (carry C),
+// shifting down one limb. Because the top limb of p is at most 2^63 − 2
+// (checked at init), A + C fits in one word at the end of every round, so
+// the working value needs no fifth limb and no round propagates a carry
+// out of it. The result is < 2p; one masked subtraction canonicalizes it.
 func (z *Element) Mul(a, b *Element) *Element {
-	var t [5]uint64 // t[4] is the overflow limb; never exceeds one bit + carries
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	var t0, t1, t2, t3, A, C, m uint64
 
-	for i := 0; i < 4; i++ {
-		// t += a * b[i]
-		bi := b[i]
-		var c uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(a[j], bi)
-			var c1, c2 uint64
-			lo, c1 = bits.Add64(lo, t[j], 0)
-			lo, c2 = bits.Add64(lo, c, 0)
-			t[j] = lo
-			// t[j] + a[j]·b[i] + c < 2^128, so hi+c1+c2 cannot wrap.
-			c = hi + c1 + c2
-		}
-		t4, carry := bits.Add64(t[4], c, 0)
+	// Round 0: t is zero, so the row needs no addend.
+	bi := b[0]
+	A, t0 = bits.Mul64(a0, bi)
+	m = t0 * qInvNeg
+	C = madd0(m, q0, t0)
+	A, t1 = madd1(a1, bi, A)
+	C, t0 = madd2(m, q1, t1, C)
+	A, t2 = madd1(a2, bi, A)
+	C, t1 = madd2(m, q2, t2, C)
+	A, t3 = madd1(a3, bi, A)
+	C, t2 = madd2(m, q3, t3, C)
+	t3 = C + A
 
-		// t = (t + m·p) / 2^64 with m chosen to zero the low limb.
-		m := t[0] * qInvNeg
-		hi, lo := bits.Mul64(m, q0)
-		_, c1 := bits.Add64(lo, t[0], 0)
-		c = hi + c1 // lo + t[0] == 0 mod 2^64 by choice of m
-		for j := 1; j < 4; j++ {
-			hi, lo := bits.Mul64(m, qLimbs[j])
-			var c2, c3 uint64
-			lo, c2 = bits.Add64(lo, t[j], 0)
-			lo, c3 = bits.Add64(lo, c, 0)
-			t[j-1] = lo
-			c = hi + c2 + c3
-		}
-		var c4 uint64
-		t[3], c4 = bits.Add64(t4, c, 0)
-		t[4] = carry + c4
-	}
+	// Round 1.
+	bi = b[1]
+	A, t0 = madd1(a0, bi, t0)
+	m = t0 * qInvNeg
+	C = madd0(m, q0, t0)
+	A, t1 = madd2(a1, bi, t1, A)
+	C, t0 = madd2(m, q1, t1, C)
+	A, t2 = madd2(a2, bi, t2, A)
+	C, t1 = madd2(m, q2, t2, C)
+	A, t3 = madd2(a3, bi, t3, A)
+	C, t2 = madd2(m, q3, t3, C)
+	t3 = C + A
 
-	z[0], z[1], z[2], z[3] = t[0], t[1], t[2], t[3]
-	return z.reduce(t[4])
+	// Round 2.
+	bi = b[2]
+	A, t0 = madd1(a0, bi, t0)
+	m = t0 * qInvNeg
+	C = madd0(m, q0, t0)
+	A, t1 = madd2(a1, bi, t1, A)
+	C, t0 = madd2(m, q1, t1, C)
+	A, t2 = madd2(a2, bi, t2, A)
+	C, t1 = madd2(m, q2, t2, C)
+	A, t3 = madd2(a3, bi, t3, A)
+	C, t2 = madd2(m, q3, t3, C)
+	t3 = C + A
+
+	// Round 3.
+	bi = b[3]
+	A, t0 = madd1(a0, bi, t0)
+	m = t0 * qInvNeg
+	C = madd0(m, q0, t0)
+	A, t1 = madd2(a1, bi, t1, A)
+	C, t0 = madd2(m, q1, t1, C)
+	A, t2 = madd2(a2, bi, t2, A)
+	C, t1 = madd2(m, q2, t2, C)
+	A, t3 = madd2(a3, bi, t3, A)
+	C, t2 = madd2(m, q3, t3, C)
+	t3 = C + A
+
+	// t < 2p: subtract p unless that borrows. A mask, not a branch, so
+	// the instruction sequence does not depend on the operands.
+	s0, bo := bits.Sub64(t0, q0, 0)
+	s1, bo := bits.Sub64(t1, q1, bo)
+	s2, bo := bits.Sub64(t2, q2, bo)
+	s3, bo := bits.Sub64(t3, q3, bo)
+	mask := bo - 1
+	z[0] = t0 ^ (mask & (t0 ^ s0))
+	z[1] = t1 ^ (mask & (t1 ^ s1))
+	z[2] = t2 ^ (mask & (t2 ^ s2))
+	z[3] = t3 ^ (mask & (t3 ^ s3))
+	return z
 }
-
-// qLimbs exposes the modulus limbs to the reduction loop by index.
-var qLimbs = [4]uint64{q0, q1, q2, q3}
 
 // Square sets z = a² and returns z. A dedicated squaring saves under ~15%
 // for 4 limbs; this implementation keeps one multiplication path so the

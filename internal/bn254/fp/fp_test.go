@@ -291,6 +291,97 @@ func TestAliasing(t *testing.T) {
 	}
 }
 
+// kernelEdges are the Montgomery representations (raw limbs, all < p) that
+// sit at the boundaries of the Mul/Add/Sub/Neg/Double kernels: the
+// smallest values, the values next to p and p/2, R mod p (the
+// representation of 1), and the values with each limb at the top of its
+// range below p.
+func kernelEdges() []kernelEdge {
+	limbs := func(l0, l1, l2, l3 uint64) *big.Int {
+		v := new(big.Int)
+		for _, w := range []uint64{l3, l2, l1, l0} {
+			v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(w))
+		}
+		return v
+	}
+	const top = ^uint64(0)
+	return []kernelEdge{
+		{"0", big.NewInt(0)},
+		{"1", big.NewInt(1)},
+		{"2", big.NewInt(2)},
+		{"p-1", new(big.Int).Sub(modulus, big.NewInt(1))},
+		{"p-2", new(big.Int).Sub(modulus, big.NewInt(2))},
+		{"half-p-1", new(big.Int).Rsh(modulus, 1)},                                  // (p−1)/2
+		{"half-p+1", new(big.Int).Rsh(new(big.Int).Add(modulus, big.NewInt(1)), 1)}, // (p+1)/2
+		{"R-mod-p", new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 256), modulus)},
+		{"top-limbs-0..2", limbs(top, top, top, q3-1)},
+		{"top-limbs-0..1", limbs(top, top, q2-1, q3)},
+		{"top-limb-0", limbs(top, q1-1, q2, q3)},
+	}
+}
+
+type kernelEdge struct {
+	name string
+	v    *big.Int
+}
+
+// elementOf sets the limbs of an Element to the representation v directly,
+// so the kernels see exactly these words (no conversion through Mul).
+func elementOf(v *big.Int) Element {
+	var e Element
+	for i, w := range v.Bits() {
+		e[i] = uint64(w)
+	}
+	return e
+}
+
+// TestKernelEdgesVsBig checks every pair of kernelEdges through each kernel
+// against math/big on the representations themselves: z = x·y·R⁻¹ for
+// Mul/Square, and plain modular arithmetic for Add/Sub/Neg/Double. The
+// oracle never calls Mul, so a kernel bug cannot cancel out through the
+// Montgomery conversions.
+func TestKernelEdgesVsBig(t *testing.T) {
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), modulus)
+	mont := func(x, y *big.Int) *big.Int {
+		v := new(big.Int).Mul(x, y)
+		return ref(v.Mul(v, rInv))
+	}
+	check := func(t *testing.T, op string, got Element, want *big.Int) {
+		t.Helper()
+		if got != elementOf(want) {
+			t.Errorf("%s = %x, want %x", op, got, elementOf(want))
+		}
+	}
+	edges := kernelEdges()
+	for _, ea0 := range edges {
+		a, ea := ea0.v, elementOf(ea0.v)
+		t.Run(ea0.name, func(t *testing.T) {
+			var z Element
+			check(t, "Square", *z.Square(&ea), mont(a, a))
+			check(t, "Neg", *z.Neg(&ea), ref(new(big.Int).Neg(a)))
+			check(t, "Double", *z.Double(&ea), ref(new(big.Int).Lsh(a, 1)))
+
+			z = ea
+			check(t, "z.Mul(z, z)", *z.Mul(&z, &z), mont(a, a))
+			z = ea
+			check(t, "z.Add(z, z)", *z.Add(&z, &z), ref(new(big.Int).Lsh(a, 1)))
+			z = ea
+			check(t, "z.Sub(z, z)", *z.Sub(&z, &z), big.NewInt(0))
+
+			for _, eb0 := range edges {
+				nb, b, eb := eb0.name, eb0.v, elementOf(eb0.v)
+				check(t, "Mul "+nb, *z.Mul(&ea, &eb), mont(a, b))
+				check(t, "Add "+nb, *z.Add(&ea, &eb), ref(new(big.Int).Add(a, b)))
+				check(t, "Sub "+nb, *z.Sub(&ea, &eb), ref(new(big.Int).Sub(a, b)))
+				z = ea
+				check(t, "z.Mul(z, b) "+nb, *z.Mul(&z, &eb), mont(a, b))
+				z = eb
+				check(t, "z.Mul(a, z) "+nb, *z.Mul(&ea, &z), mont(a, b))
+			}
+		})
+	}
+}
+
 func BenchmarkMul(b *testing.B) {
 	r := rand.New(rand.NewSource(20))
 	var x, y, z Element
