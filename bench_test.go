@@ -137,59 +137,6 @@ func BenchmarkE1_HashToZr(b *testing.B) {
 	}
 }
 
-// E1 ablation: the two final-exponentiation hard-part implementations.
-func BenchmarkE1_FinalExpChain(b *testing.B) {
-	benchFinalExp(b, true)
-}
-
-func BenchmarkE1_FinalExpDirect(b *testing.B) {
-	benchFinalExp(b, false)
-}
-
-func benchFinalExp(b *testing.B, chain bool) {
-	// Exercised through the public Pair path: the ablation toggle lives in
-	// internal/bn254's test surface, so here we time full pairings whose
-	// cost is dominated by the respective hard part via PairHard helpers.
-	p := bn254.G1Generator()
-	q := bn254.G2Generator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if chain {
-			bn254.Pair(p, q) // production path (addition chain)
-		} else {
-			bn254.PairDirectHardPart(p, q) // reference path
-		}
-	}
-}
-
-// E1 precompute ablation: prepared vs naive pairing, and the one-time
-// preparation cost itself.
-func BenchmarkE1_PairingPrepared(b *testing.B) {
-	p := bn254.G1Generator()
-	prep := bn254.G2GeneratorPrepared()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bn254.PairPrepared(p, prep)
-	}
-}
-
-func BenchmarkE1_PrepareG2(b *testing.B) {
-	q := bn254.G2Generator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bn254.PrepareG2(q)
-	}
-}
-
-func BenchmarkE1_PairProduct2(b *testing.B) {
-	ps := []*bn254.G1{bn254.G1Generator(), bn254.G1Generator()}
-	qs := []*bn254.G2{bn254.G2Generator(), bn254.G2Generator()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bn254.PairProduct(ps, qs)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // E2 "Table 2": scheme operation latencies
 // ---------------------------------------------------------------------------

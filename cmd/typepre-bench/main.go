@@ -87,7 +87,7 @@ type stackOp struct {
 
 // pairingStackOps lists the microbenchmarks down the whole pairing
 // arithmetic stack: the Montgomery-limb Fp core, the group operations
-// built on it, and the pairing variants.
+// built on it, and the pairing.
 func pairingStackOps() []stackOp {
 	var a, b, out fp.Element
 	a.SetUint64(0xdeadbeefcafef00d)
@@ -102,7 +102,6 @@ func pairingStackOps() []stackOp {
 	var g2 bn254.G2
 	var gt bn254.GT
 	base := bn254.GTBase()
-	prep := bn254.G2GeneratorPrepared()
 
 	return []stackOp{
 		{"Fp mul (no-carry CIOS)", "fp.Mul", 1024, func() { out.Mul(&a, &b) }},
@@ -115,8 +114,6 @@ func pairingStackOps() []stackOp {
 		{"GT exponentiation", "GTExpBaseGeneric", 1, func() { gt.Exp(base, k) }},
 		{"GT fixed-base exp", "GTExpBaseFixed", 1, func() { bn254.GTExpBase(k) }},
 		{"pairing (optimal ate)", "Pair", 1, func() { bn254.Pair(p, q) }},
-		{"pairing (prepared G2)", "PairPrepared", 1, func() { bn254.PairPrepared(p, prep) }},
-		{"G2 preparation (one-time)", "PrepareG2", 1, func() { bn254.PrepareG2(q) }},
 	}
 }
 
@@ -271,13 +268,6 @@ func e1() {
 	base := bn254.GTBase()
 
 	row("pairing (optimal ate)", timeOp(func() { bn254.Pair(p, q) }))
-	row("pairing (direct final exp)", timeOp(func() { bn254.PairDirectHardPart(p, q) }))
-	prep := bn254.G2GeneratorPrepared()
-	row("pairing (prepared G2)", timeOp(func() { bn254.PairPrepared(p, prep) }))
-	row("G2 preparation (one-time)", timeOp(func() { bn254.PrepareG2(q) }))
-	row("2-pairing product", timeOp(func() {
-		bn254.PairProduct([]*bn254.G1{p, p}, []*bn254.G2{q, q})
-	}))
 	var g1 bn254.G1
 	row("G1 scalar mult", timeOp(func() { g1.ScalarBaseMult(k) }))
 	var g2 bn254.G2

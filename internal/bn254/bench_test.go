@@ -8,8 +8,8 @@ import (
 
 // In-package micro-benchmarks for the arithmetic layers, including the
 // ablation pairs (affine vs Jacobian ladders, binary vs windowed
-// exponentiation, chain vs direct final exponentiation) that back the E1
-// table's design-choice discussion.
+// exponentiation, generic vs fixed-base tables) that back the E1 table's
+// design-choice discussion.
 
 func benchScalar() *big.Int {
 	r := rand.New(rand.NewSource(99))
@@ -206,26 +206,9 @@ func BenchmarkG2Decompress(b *testing.B) {
 	}
 }
 
-func BenchmarkPrepareG2(b *testing.B) {
-	q := G2Generator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PrepareG2(q)
-	}
-}
-
-func BenchmarkPairPrepared(b *testing.B) {
-	p := G1Generator()
-	prep := G2GeneratorPrepared()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PairPrepared(p, prep)
-	}
-}
-
-// BenchmarkPair measures the full optimal-ate pairing with no
-// precomputation: Miller loop plus final exponentiation. This is the
-// headline number tracked in BENCH_bn254.json.
+// BenchmarkPair measures the full optimal-ate pairing: Miller loop plus
+// final exponentiation. This is the headline number tracked in
+// BENCH_bn254.json.
 func BenchmarkPair(b *testing.B) {
 	p := G1Generator()
 	q := G2Generator()

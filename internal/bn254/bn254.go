@@ -52,8 +52,9 @@ var (
 	// curveB is the constant of E: y² = x³ + curveB over Fp.
 	curveB fp.Element
 
-	// ateLoopCount is 6u+2, the Miller loop length of the optimal ate pairing.
-	ateLoopCount = new(big.Int)
+	// millerLoopCount is 6u+2, the Miller loop length of the optimal ate
+	// pairing.
+	millerLoopCount = new(big.Int)
 
 	// twistB is 3/ξ, the constant of the twist E'.
 	twistB fp2
@@ -102,8 +103,8 @@ func init() {
 		panic("bn254: group order does not match BN(u) derivation")
 	}
 
-	ateLoopCount.Mul(u, big.NewInt(6))
-	ateLoopCount.Add(ateLoopCount, big.NewInt(2))
+	millerLoopCount.Mul(u, big.NewInt(6))
+	millerLoopCount.Add(millerLoopCount, big.NewInt(2))
 
 	curveB.SetUint64(3)
 

@@ -18,11 +18,11 @@
 // a mask, not a branch: no loops, no assembly, no heap allocation.
 //
 // Constant-time contract: Add, Sub, Neg, Double, Mul, Square, Inverse,
-// Sqrt, Select, IsZero, Equal and the Montgomery conversions perform an
+// Sqrt, IsZero, Equal and the Montgomery conversions perform an
 // input-independent sequence of word operations (Inverse and Sqrt are
 // fixed-window exponentiations by the public constant exponents p−2 and
-// (p+1)/4). Conversion to/from big.Int, String and ExpBig are NOT constant
-// time and must only see public values.
+// (p+1)/4). Conversion to/from big.Int and String are NOT constant time
+// and must only see public values.
 //
 // All hard-coded constants are re-derived from the decimal modulus at
 // package init and cross-checked; a mismatch panics, so a transcribed
@@ -165,17 +165,6 @@ func (z *Element) IsOne() bool {
 // canonical, so limb equality is field equality.
 func (z *Element) Equal(a *Element) bool {
 	return (z[0]^a[0])|(z[1]^a[1])|(z[2]^a[2])|(z[3]^a[3]) == 0
-}
-
-// Select sets z = a if cond == 1 and z = b if cond == 0, in constant time.
-// cond must be 0 or 1.
-func (z *Element) Select(cond uint64, a, b *Element) *Element {
-	mask := -cond
-	z[0] = b[0] ^ (mask & (a[0] ^ b[0]))
-	z[1] = b[1] ^ (mask & (a[1] ^ b[1]))
-	z[2] = b[2] ^ (mask & (a[2] ^ b[2]))
-	z[3] = b[3] ^ (mask & (a[3] ^ b[3]))
-	return z
 }
 
 // ---------------------------------------------------------------------------
@@ -435,21 +424,6 @@ func (z *Element) Sqrt(a *Element) bool {
 	}
 	z.Set(&cand)
 	return true
-}
-
-// ExpBig sets z = a^k for a non-negative big.Int exponent. NOT constant
-// time; for public exponents only.
-func (z *Element) ExpBig(a *Element, k *big.Int) *Element {
-	var res, base Element
-	res = one
-	base = *a
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		res.Square(&res)
-		if k.Bit(i) == 1 {
-			res.Mul(&res, &base)
-		}
-	}
-	return z.Set(&res)
 }
 
 // ---------------------------------------------------------------------------

@@ -177,21 +177,6 @@ func TestSqrt(t *testing.T) {
 	}
 }
 
-func TestExpBigMatchesBig(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for i := 0; i < 20; i++ {
-		v := randBig(r)
-		k := randBig(r)
-		e := fromBig(t, v)
-		var out Element
-		out.ExpBig(e, k)
-		want := new(big.Int).Exp(ref(v), k, modulus)
-		if got := out.BigInt(); got.Cmp(want) != 0 {
-			t.Fatalf("exp mismatch for %v^%v", v, k)
-		}
-	}
-}
-
 func TestBytesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	vals := edgeCases()
@@ -225,21 +210,6 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 	if bad.SetBytes([]byte{1, 2, 3}) {
 		t.Fatal("accepted short encoding")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	a := fromBig(t, randBig(r))
-	b := fromBig(t, randBig(r))
-	var z Element
-	z.Select(1, a, b)
-	if !z.Equal(a) {
-		t.Fatal("Select(1) != a")
-	}
-	z.Select(0, a, b)
-	if !z.Equal(b) {
-		t.Fatal("Select(0) != b")
 	}
 }
 

@@ -22,9 +22,7 @@ import (
 // element with c0 = (a·y_P, 0, 0) and c1 = (b·x_P, c, 0). The scalar d lies
 // in Fp2, where the easy part of the final exponentiation kills it
 // (d^(p⁶−1) = 1 since d^(p²) = d), so Pair's output is unchanged by the
-// scaling. Everything except the two P-coordinate multiplications depends
-// only on T and S, so a fixed Q's whole line sequence can be computed once
-// (see PreparedG2) and replayed against many P's.
+// scaling.
 //
 // A vertical line X = x_T·ω² evaluates to l(P) = x_P − x_T·τ, i.e.
 // c0 = (x_P, −x_T, 0), c1 = 0; it stores −x_T in c and leaves a, b unused.
@@ -194,25 +192,25 @@ func addStep(lc *lineCoeff, T *g2Jac, Q *G2) bool {
 	return true
 }
 
-// ateLoop walks the optimal ate Miller-loop skeleton for Q — the 6u+2
-// double-and-add ladder followed by the two Frobenius line steps — and
-// reports each step to emit: squarings as (true, nil) and lines as
-// (false, lc). The lc pointer refers to scratch that is overwritten by the
-// next step; consumers that retain it must copy. This single driver is
-// shared by the direct evaluation (millerLoop) and the coefficient
-// recording (PrepareG2), so the skeleton cannot diverge between them.
-func ateLoop(Q *G2, emit func(square bool, lc *lineCoeff)) {
+// millerLoop computes the optimal ate Miller function f_{6u+2,Q}(P): the
+// 6u+2 double-and-add ladder followed by the two Frobenius line steps.
+func millerLoop(P *G1, Q *G2) *fp12 {
+	var f fp12
+	f.SetOne()
+	if P.inf || Q.inf {
+		return &f
+	}
 	var T g2Jac
 	T.fromAffine(Q)
 	var lc lineCoeff
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
-		emit(true, nil)
+	for i := millerLoopCount.BitLen() - 2; i >= 0; i-- {
+		f.Square(&f)
 		if doubleStep(&lc, &T) {
-			emit(false, &lc)
+			evalLine(&f, &lc, P)
 		}
-		if ateLoopCount.Bit(i) == 1 {
+		if millerLoopCount.Bit(i) == 1 {
 			if addStep(&lc, &T, Q) {
-				emit(false, &lc)
+				evalLine(&f, &lc, P)
 			}
 		}
 	}
@@ -225,28 +223,11 @@ func ateLoop(Q *G2, emit func(square bool, lc *lineCoeff)) {
 	minusQ2.Neg(&Q2)
 
 	if addStep(&lc, &T, &Q1) {
-		emit(false, &lc)
+		evalLine(&f, &lc, P)
 	}
 	if addStep(&lc, &T, &minusQ2) {
-		emit(false, &lc)
+		evalLine(&f, &lc, P)
 	}
-}
-
-// millerLoop computes the optimal ate Miller function f_{6u+2,Q}(P) extended
-// with the two Frobenius line steps.
-func millerLoop(P *G1, Q *G2) *fp12 {
-	var f fp12
-	f.SetOne()
-	if P.inf || Q.inf {
-		return &f
-	}
-	ateLoop(Q, func(square bool, lc *lineCoeff) {
-		if square {
-			f.Square(&f)
-		} else {
-			evalLine(&f, lc, P)
-		}
-	})
 	return &f
 }
 
@@ -254,8 +235,7 @@ func millerLoop(P *G1, Q *G2) *fp12 {
 // into the order-r subgroup GT.
 func finalExponentiation(f *fp12) *fp12 {
 	// The hard part, exponent (p⁴−p²+1)/r, runs the Devegili et al.
-	// addition chain; hardPartDirect computes the same value by generic
-	// exponentiation and is pinned equal in tests.
+	// addition chain; tests pin it to a generic exponentiation.
 	return hardPartChain(easyPart(f))
 }
 
@@ -269,14 +249,6 @@ func easyPart(f *fp12) *fp12 {
 	t.FrobeniusP2(&r)
 	r.Mul(&r, &t) // f^((p⁶−1)(p²+1))
 	return &r
-}
-
-// hardPartDirect computes m^((p⁴−p²+1)/r) by generic exponentiation.
-// It is the reference implementation used by tests and the E1 ablation.
-func hardPartDirect(m *fp12) *fp12 {
-	var out fp12
-	out.Exp(m, finalExpHard)
-	return &out
 }
 
 // uNAF is the non-adjacent form of the BN parameter u, the exponent of
@@ -357,34 +329,6 @@ func Pair(P *G1, Q *G2) *GT {
 	f := millerLoop(P, Q)
 	var g GT
 	g.v.Set(finalExponentiation(f))
-	return &g
-}
-
-// PairDirectHardPart computes the same pairing as Pair but performs the
-// final-exponentiation hard part by direct square-and-multiply instead of
-// the Devegili addition chain. Exposed as the E1 ablation reference; tests
-// pin its output equal to Pair's.
-func PairDirectHardPart(P *G1, Q *G2) *GT {
-	var g GT
-	g.v.Set(hardPartDirect(easyPart(millerLoop(P, Q))))
-	return &g
-}
-
-// PairProduct computes ∏ ê(Pᵢ, Qᵢ) sharing a single final exponentiation —
-// the standard multi-pairing optimization used when verifying products of
-// pairings.
-func PairProduct(ps []*G1, qs []*G2) *GT {
-	if len(ps) != len(qs) {
-		panic("bn254: mismatched PairProduct inputs")
-	}
-	var acc fp12
-	acc.SetOne()
-	for i := range ps {
-		f := millerLoop(ps[i], qs[i])
-		acc.Mul(&acc, f)
-	}
-	var g GT
-	g.v.Set(finalExponentiation(&acc))
 	return &g
 }
 

@@ -192,32 +192,6 @@ func TestHardPartImplementationsAgree(t *testing.T) {
 	}
 }
 
-func TestPairProduct(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	a := new(big.Int).Rand(r, Order)
-	b := new(big.Int).Rand(r, Order)
-	var pa, pb G1
-	pa.ScalarBaseMult(a)
-	pb.ScalarBaseMult(b)
-	q := G2Generator()
-
-	prod := PairProduct([]*G1{&pa, &pb}, []*G2{q, q})
-	var want GT
-	want.Mul(Pair(&pa, q), Pair(&pb, q))
-	if !prod.Equal(&want) {
-		t.Fatal("PairProduct != product of pairings")
-	}
-}
-
-func TestPairProductMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PairProduct([]*G1{G1Generator()}, nil)
-}
-
 func TestG1MarshalRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for i := 0; i < 5; i++ {

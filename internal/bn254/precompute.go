@@ -5,132 +5,15 @@ import (
 	"sync"
 )
 
-// Precomputation for the hot fixed-argument paths.
+// Precomputation for the fixed-base paths.
 //
-// Two facts make precomputation pay off throughout the scheme built on this
-// package:
-//
-//  1. The G2 argument of almost every pairing is a long-lived public value
-//     (a KGC public key, or the group generator). The Miller loop's line
-//     coefficients depend only on that argument, so they can be computed
-//     once (PreparedG2) and replayed against many G1 points, skipping one
-//     Fp2 inversion plus the slope arithmetic per loop iteration.
-//
-//  2. Scalar multiplications overwhelmingly use the fixed generators of G1
-//     and G2, and GT exponentiations overwhelmingly use ê(G1gen, G2gen).
-//     Windowed fixed-base tables trade a one-time table build for dropping
-//     every doubling (respectively squaring) from those operations.
+// Scalar multiplications overwhelmingly use the fixed generators of G1 and
+// G2, and GT exponentiations overwhelmingly use ê(G1gen, G2gen). Windowed
+// fixed-base tables trade a one-time table build for dropping every
+// doubling (respectively squaring) from those operations.
 //
 // All tables are built lazily behind sync.Once guards and shared by every
 // goroutine; nothing here mutates after construction.
-
-// millerOp is one replayable step of a Miller loop: either a squaring of
-// the accumulator or the multiplication by one precomputed line.
-type millerOp struct {
-	square bool
-	line   lineCoeff
-}
-
-// PreparedG2 caches the Miller-loop line coefficients of a fixed G2 point.
-// It is immutable after PrepareG2 and safe for concurrent use.
-type PreparedG2 struct {
-	inf bool
-	ops []millerOp
-}
-
-// appendLine copies lc into a new op. Field elements are plain limb arrays,
-// so a struct copy fully detaches the recorded line from the caller's
-// scratch, which the next doubleCoeff/addCoeff invocation overwrites.
-func (prep *PreparedG2) appendLine(lc *lineCoeff) {
-	prep.ops = append(prep.ops, millerOp{line: *lc})
-}
-
-// PrepareG2 walks the optimal ate Miller loop for Q once, recording every
-// squaring and line coefficient, so PairPrepared can replay the loop
-// against any G1 point without redoing the Q-side arithmetic.
-func PrepareG2(Q *G2) *PreparedG2 {
-	prep := &PreparedG2{}
-	if Q.inf {
-		prep.inf = true
-		return prep
-	}
-	// Capacity: one square per loop bit plus at most two lines per bit and
-	// the two Frobenius lines.
-	n := ateLoopCount.BitLen() - 1
-	prep.ops = make([]millerOp, 0, 3*n+2)
-
-	ateLoop(Q, func(square bool, lc *lineCoeff) {
-		if square {
-			prep.ops = append(prep.ops, millerOp{square: true})
-		} else {
-			prep.appendLine(lc)
-		}
-	})
-	return prep
-}
-
-// IsInfinity reports whether the prepared point is the identity.
-func (prep *PreparedG2) IsInfinity() bool { return prep.inf }
-
-// millerLoopPrepared replays a recorded Miller loop against P. It performs
-// exactly the same field operations as millerLoop(P, Q), so the results are
-// bit-identical.
-func millerLoopPrepared(P *G1, prep *PreparedG2) *fp12 {
-	var f fp12
-	f.SetOne()
-	if P.inf || prep.inf {
-		return &f
-	}
-	for i := range prep.ops {
-		op := &prep.ops[i]
-		if op.square {
-			f.Square(&f)
-		} else {
-			evalLine(&f, &op.line, P)
-		}
-	}
-	return &f
-}
-
-// PairPrepared computes ê(P, Q) for a prepared Q. The output is identical
-// to Pair(P, Q); only the Q-side Miller-loop work is skipped.
-func PairPrepared(P *G1, prep *PreparedG2) *GT {
-	f := millerLoopPrepared(P, prep)
-	var g GT
-	g.v.Set(finalExponentiation(f))
-	return &g
-}
-
-// PairProductPrepared computes ∏ ê(Pᵢ, Qᵢ) for prepared Qᵢ, sharing a
-// single final exponentiation like PairProduct.
-func PairProductPrepared(ps []*G1, preps []*PreparedG2) *GT {
-	if len(ps) != len(preps) {
-		panic("bn254: mismatched PairProductPrepared inputs")
-	}
-	var acc fp12
-	acc.SetOne()
-	for i := range ps {
-		f := millerLoopPrepared(ps[i], preps[i])
-		acc.Mul(&acc, f)
-	}
-	var g GT
-	g.v.Set(finalExponentiation(&acc))
-	return &g
-}
-
-var (
-	g2GenPrepOnce sync.Once
-	g2GenPrep     *PreparedG2
-)
-
-// G2GeneratorPrepared returns the prepared form of the fixed G2 generator,
-// computed once and cached. The returned value is shared; do not modify.
-func G2GeneratorPrepared() *PreparedG2 {
-	g2GenPrepOnce.Do(func() {
-		g2GenPrep = PrepareG2(&g2Gen)
-	})
-	return g2GenPrep
-}
 
 // ---------------------------------------------------------------------------
 // Fixed-base windowed scalar multiplication

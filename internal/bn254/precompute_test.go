@@ -25,82 +25,6 @@ func randG2(r *rand.Rand) *G2 {
 	return &p
 }
 
-// TestPairPreparedMatchesPair pins the prepared pairing to the naive one,
-// bit for bit, over random points.
-func TestPairPreparedMatchesPair(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 8; i++ {
-		p := randG1(r)
-		q := randG2(r)
-		prep := PrepareG2(q)
-		want := Pair(p, q)
-		got := PairPrepared(p, prep)
-		if !got.Equal(want) {
-			t.Fatalf("iteration %d: PairPrepared != Pair", i)
-		}
-		// Reuse of the same preparation must be side-effect free.
-		p2 := randG1(r)
-		if !PairPrepared(p2, prep).Equal(Pair(p2, q)) {
-			t.Fatalf("iteration %d: prepared reuse diverged", i)
-		}
-	}
-}
-
-// TestPairPreparedInfinity covers the degenerate inputs.
-func TestPairPreparedInfinity(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	p := randG1(r)
-	q := randG2(r)
-	prepInf := PrepareG2(G2Infinity())
-	if !prepInf.IsInfinity() {
-		t.Fatal("PrepareG2(∞) not marked infinite")
-	}
-	if !PairPrepared(p, prepInf).IsOne() {
-		t.Fatal("ê(P, ∞) != 1")
-	}
-	if !PairPrepared(G1Infinity(), PrepareG2(q)).IsOne() {
-		t.Fatal("ê(∞, Q) != 1")
-	}
-}
-
-// TestPairPreparedGenerator pins the cached generator preparation.
-func TestPairPreparedGenerator(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	p := randG1(r)
-	want := Pair(p, G2Generator())
-	if !PairPrepared(p, G2GeneratorPrepared()).Equal(want) {
-		t.Fatal("G2GeneratorPrepared pairing mismatch")
-	}
-	if G2GeneratorPrepared() != G2GeneratorPrepared() {
-		t.Fatal("G2GeneratorPrepared not cached")
-	}
-}
-
-// TestPairProductPreparedMatches pins the prepared multi-pairing.
-func TestPairProductPreparedMatches(t *testing.T) {
-	r := rand.New(rand.NewSource(45))
-	for _, n := range []int{0, 1, 2, 4} {
-		ps := make([]*G1, n)
-		qs := make([]*G2, n)
-		preps := make([]*PreparedG2, n)
-		for i := range ps {
-			ps[i] = randG1(r)
-			qs[i] = randG2(r)
-			preps[i] = PrepareG2(qs[i])
-		}
-		if !PairProductPrepared(ps, preps).Equal(PairProduct(ps, qs)) {
-			t.Fatalf("n=%d: PairProductPrepared != PairProduct", n)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched input lengths did not panic")
-		}
-	}()
-	PairProductPrepared([]*G1{G1Generator()}, nil)
-}
-
 // edgeScalars are the scalars most likely to break a windowed table:
 // identity-adjacent values, the group order, and out-of-range inputs that
 // exercise the modular reduction.
@@ -169,21 +93,14 @@ func TestGTExpBaseMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrent exercises the lazy table/preparation guards from
+// TestPreparedConcurrent exercises the lazy fixed-base table guards from
 // many goroutines; run with -race to check the sync.Once wiring.
 func TestPreparedConcurrent(t *testing.T) {
-	q := randG2(rand.New(rand.NewSource(49)))
-	prep := PrepareG2(q)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(seed int64) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 3; i++ {
-				p := randG1(r)
-				if !PairPrepared(p, prep).Equal(Pair(p, q)) {
-					done <- fmt.Errorf("seed %d: concurrent prepared pairing mismatch", seed)
-					return
-				}
 				k := new(big.Int).Rand(r, Order)
 				var a, b G1
 				a.ScalarBaseMult(k)

@@ -20,6 +20,14 @@ func (e *fp12) expBinary(a *fp12, k *big.Int) *fp12 {
 	return e.Set(&res)
 }
 
+// hardPartDirect computes m^((p⁴−p²+1)/r) by generic exponentiation, the
+// oracle for the addition chain in hardPartChain.
+func hardPartDirect(m *fp12) *fp12 {
+	var out fp12
+	out.Exp(m, finalExpHard)
+	return &out
+}
+
 // scalarMultAffine is the double-and-add ladder in affine coordinates (one
 // modular inversion per step).
 func (p *G1) scalarMultAffine(a *G1, k *big.Int) *G1 {

@@ -57,9 +57,8 @@ type Delegator struct {
 
 // NewDelegator builds a Delegator from an extracted KGC1 private key.
 func NewDelegator(key *ibe.PrivateKey) *Delegator {
-	// ê(pk_id, pk₁) = ê(H1(id)^α, g₂) = ê(sk_id, g₂), computed against the
-	// prepared form of the fixed generator.
-	base := bn254.PairPrepared(key.SK, bn254.G2GeneratorPrepared())
+	// ê(pk_id, pk₁) = ê(H1(id)^α, g₂) = ê(sk_id, g₂).
+	base := bn254.Pair(key.SK, bn254.G2Generator())
 	return &Delegator{key: key, base: base}
 }
 

@@ -52,13 +52,10 @@ type Params struct {
 const maskCacheLimit = 4096
 
 // paramsPre is the precomputation state attached to a set of parameters:
-// the prepared form of pk for the pairing, and the per-identity encryption
-// masks ê(H1(id), pk) — constant per identity, one pairing each, and by far
-// the hottest value in encrypt-heavy workloads.
+// the per-identity encryption masks ê(H1(id), pk) — constant per identity,
+// one pairing each, and by far the hottest value in encrypt-heavy
+// workloads.
 type paramsPre struct {
-	pkOnce sync.Once
-	pk     *bn254.PreparedG2
-
 	mu    sync.Mutex
 	masks map[string]*bn254.GT // phrlint:guardedby mu
 }
@@ -66,19 +63,6 @@ type paramsPre struct {
 // newParamsPre attaches fresh (empty) precomputation state.
 func newParamsPre() *paramsPre {
 	return &paramsPre{masks: make(map[string]*bn254.GT)}
-}
-
-// PreparedPK returns the prepared form of PK for use with
-// bn254.PairPrepared, building and caching it on first use. Without
-// attached precomputation state it prepares on the fly.
-func (p *Params) PreparedPK() *bn254.PreparedG2 {
-	if p.pre == nil {
-		return bn254.PrepareG2(p.PK)
-	}
-	p.pre.pkOnce.Do(func() {
-		p.pre.pk = bn254.PrepareG2(p.PK)
-	})
-	return p.pre.pk
 }
 
 // EncryptionMask returns ê(H1(id), pk), the Boneh–Franklin encryption mask
@@ -99,7 +83,7 @@ func (p *Params) EncryptionMask(id string) *bn254.GT {
 	// Pair outside the lock: concurrent first requests for one identity
 	// may compute the mask twice, but the results are identical and
 	// encrypts for other identities are not stalled behind a ~ms pairing.
-	m := bn254.PairPrepared(PublicKeyOf(id), p.PreparedPK())
+	m := bn254.Pair(PublicKeyOf(id), p.PK)
 
 	p.pre.mu.Lock()
 	if len(p.pre.masks) >= maskCacheLimit {

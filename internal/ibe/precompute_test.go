@@ -8,8 +8,8 @@ import (
 	"typepre/internal/bn254"
 )
 
-// TestEncryptionMaskMatchesNaive pins the cached per-identity mask (and the
-// prepared-PK pairing beneath it) to the naive bn254.Pair computation.
+// TestEncryptionMaskMatchesNaive pins the cached per-identity mask to a
+// fresh bn254.Pair computation.
 func TestEncryptionMaskMatchesNaive(t *testing.T) {
 	kgc, err := Setup("mask-kgc", nil)
 	if err != nil {

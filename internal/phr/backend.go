@@ -66,8 +66,8 @@ type Backend interface {
 // Record wire form
 // ---------------------------------------------------------------------------
 
-// The storage wire form of one record, shared by the snapshot container
-// and the disk backend's log entries:
+// The storage wire form of one record, the body of the disk backend's
+// put and replace log entries:
 //
 //	u32 len(id)       | id
 //	u32 len(patient)  | patient
@@ -76,7 +76,7 @@ type Backend interface {
 //	u32 len(sealed)   | sealed (hybrid.Ciphertext.Marshal)
 //
 // All integers big-endian. The encoding is deterministic for a given
-// record, so identical stores produce identical snapshots.
+// record.
 
 // maxRecordFieldBytes bounds any single length-prefixed field during
 // decoding, rejecting absurd prefixes before allocation.
