@@ -13,12 +13,12 @@
 // Grants are proxy-local state in either mode and must be re-installed
 // after a restart.
 //
-// The server instruments every handler (per-endpoint latency/error
-// counters and an in-flight gauge, served on GET /v1/metrics) so numbers
-// reported by the cmd/phrload harness can be attributed server-side, and
-// optionally binds net/http/pprof on a separate address for profiling
-// under load. Both listeners bound how long a client may take to send a
-// request and how long an idle connection stays open (newHTTPServer).
+// The server instruments every handler: GET /v1/metrics serves
+// per-endpoint latency/error counters, an in-flight gauge and the store's
+// record count, which the cmd/phrload crash drill reads. It optionally
+// binds net/http/pprof on a separate address for profiling under load.
+// Both listeners bound how long a client may take to send a request and how
+// long an idle connection stays open (newHTTPServer).
 package main
 
 import (

@@ -1,9 +1,7 @@
-// Package loadstat provides the measurement substrate of the service-level
-// load harness (cmd/phrload) and the server's own request instrumentation:
-// lock-free sharded counters and fixed-bucket latency histograms that many
-// goroutines record into while others take consistent-enough snapshots,
-// plus flat CSV/JSON-friendly result structs so BENCH_*.json stays stable
-// across PRs.
+// Package loadstat is the PHR server's request instrumentation, served on
+// GET /v1/metrics: lock-free sharded counters and fixed-bucket latency
+// histograms that many goroutines record into while others take
+// consistent-enough snapshots, plus an in-flight gauge.
 //
 // The package is stdlib-only. Recording never blocks and never allocates:
 // a Record call is two or three atomic adds into a randomly chosen shard
@@ -14,7 +12,6 @@
 package loadstat
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -54,9 +51,6 @@ type Recorder struct {
 
 // NewRecorder returns a standalone recorder with the given label.
 func NewRecorder(name string) *Recorder { return &Recorder{name: name} }
-
-// Name returns the recorder's label.
-func (r *Recorder) Name() string { return r.name }
 
 // bucketOf maps a latency to its histogram bucket.
 func bucketOf(d time.Duration) int {
@@ -104,15 +98,6 @@ type EndpointStats struct {
 	P95Us    float64 `json:"p95_us"`
 	P99Us    float64 `json:"p99_us"`
 	MaxUs    float64 `json:"max_us"`
-}
-
-// CSVHeader is the column order WriteCSVRow follows.
-const CSVHeader = "endpoint,ops,errors,rps,mean_us,p50_us,p95_us,p99_us,max_us"
-
-// CSVRow renders the stats as one CSV line matching CSVHeader.
-func (e EndpointStats) CSVRow() string {
-	return fmt.Sprintf("%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f",
-		e.Endpoint, e.Ops, e.Errors, e.RPS, e.MeanUs, e.P50Us, e.P95Us, e.P99Us, e.MaxUs)
 }
 
 // quantile estimates the q-th quantile (0 < q ≤ 1) from summed bucket
@@ -225,15 +210,6 @@ func (c *Collector) Snapshot(elapsed time.Duration) []EndpointStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
-}
-
-// TotalOps sums the op counts across all endpoints.
-func (c *Collector) TotalOps() uint64 {
-	var total uint64
-	for _, e := range c.Snapshot(0) {
-		total += e.Ops
-	}
-	return total
 }
 
 // Gauge is an atomic up/down counter with a high-water mark — the

@@ -78,8 +78,8 @@ func TestQuantileMonotonicity(t *testing.T) {
 
 // TestConcurrentRecordersAndReaders hammers one collector from parallel
 // recorders while snapshot readers run, then checks counter conservation:
-// the final per-endpoint sums equal exactly what the writers recorded, and
-// the total across endpoints equals the sum of the parts. Run under -race.
+// the final sums across endpoints equal exactly what the writers recorded.
+// Run under -race.
 func TestConcurrentRecordersAndReaders(t *testing.T) {
 	const (
 		writers       = 8
@@ -145,9 +145,6 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 	if totalErrs != wantErrs {
 		t.Fatalf("counter conservation: total errors = %d, want %d", totalErrs, wantErrs)
 	}
-	if got := c.TotalOps(); got != total {
-		t.Fatalf("TotalOps = %d, want %d", got, total)
-	}
 }
 
 func TestGauge(t *testing.T) {
@@ -170,13 +167,5 @@ func TestGauge(t *testing.T) {
 	}
 	if h := g.High(); h < 1 || h > workers {
 		t.Fatalf("high-water mark %d outside [1,%d]", h, workers)
-	}
-}
-
-func TestCSVRow(t *testing.T) {
-	st := EndpointStats{Endpoint: "put", Ops: 10, Errors: 1, RPS: 5, MeanUs: 1.5, P50Us: 1, P95Us: 2, P99Us: 3, MaxUs: 4}
-	want := "put,10,1,5.0,1.5,1.0,2.0,3.0,4.0"
-	if got := st.CSVRow(); got != want {
-		t.Fatalf("CSVRow = %q, want %q", got, want)
 	}
 }

@@ -51,9 +51,8 @@ const (
 	MaxGrantBytes  = 1 << 20  // marshaled rekey upload
 )
 
-// Endpoint labels used by the server's own instrumentation and by the
-// cmd/phrload harness, so client-observed and server-observed metrics
-// attribute one to one.
+// Endpoint labels of the server's own instrumentation, as reported per
+// endpoint by GET /v1/metrics.
 const (
 	EndpointPut        = "put"
 	EndpointDisclose   = "disclose"
@@ -96,10 +95,6 @@ func NewServer(svc *Service) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Metrics exposes the server-side per-endpoint recorders (test and
-// harness hook).
-func (s *Server) Metrics() *loadstat.Collector { return s.metrics }
 
 // statusWriter captures the response status for instrumentation. It
 // always implements http.Flusher — flushing degrades to a no-op when the
