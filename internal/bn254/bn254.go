@@ -52,10 +52,6 @@ var (
 	// curveB is the constant of E: y² = x³ + curveB over Fp.
 	curveB fp.Element
 
-	// millerLoopCount is 6u+2, the Miller loop length of the optimal ate
-	// pairing.
-	millerLoopCount = new(big.Int)
-
 	// twistB is 3/ξ, the constant of the twist E'.
 	twistB fp2
 
@@ -66,13 +62,6 @@ var (
 	xiToPMinus1Over3  fp2 // ξ^((p-1)/3)
 	xiToPMinus1Over2  fp2 // ξ^((p-1)/2)
 	xiTo2PMinus2Over3 fp2 // ξ^(2(p-1)/3)
-
-	// finalExpHard is (p⁴ - p² + 1)/r, the hard part of the final
-	// exponentiation, computed from p and r.
-	finalExpHard = new(big.Int)
-
-	// pSquared is p², used by the f^(p²+1) step of the easy part.
-	pSquared = new(big.Int)
 )
 
 func init() {
@@ -103,8 +92,16 @@ func init() {
 		panic("bn254: group order does not match BN(u) derivation")
 	}
 
-	millerLoopCount.Mul(u, big.NewInt(6))
-	millerLoopCount.Add(millerLoopCount, big.NewInt(2))
+	// The Miller loop walks the signed digits of 6u+2 from a leading 1;
+	// refuse to run unless they recombine to 6u+2.
+	loop := new(big.Int).Mul(u, big.NewInt(6))
+	loop.Add(loop, big.NewInt(2))
+	if millerLoopNAF[len(millerLoopNAF)-1] != 1 || recombine(millerLoopNAF).Cmp(loop) != 0 {
+		panic("bn254: Miller loop digits do not recombine to 6u+2")
+	}
+	if recombine(uNAF).Cmp(u) != 0 {
+		panic("bn254: recoded digits of u do not recombine to u")
+	}
 
 	curveB.SetUint64(3)
 
@@ -126,15 +123,6 @@ func init() {
 	xiToPMinus1Over3.Exp(&xi, e3)
 	xiToPMinus1Over2.Exp(&xi, e2)
 	xiTo2PMinus2Over3.Square(&xiToPMinus1Over3)
-
-	pSquared.Mul(P, P)
-	p4 := new(big.Int).Mul(pSquared, pSquared)
-	finalExpHard.Sub(p4, pSquared)
-	finalExpHard.Add(finalExpHard, big.NewInt(1))
-	if new(big.Int).Mod(finalExpHard, Order).Sign() != 0 {
-		panic("bn254: (p⁴-p²+1) not divisible by r")
-	}
-	finalExpHard.Div(finalExpHard, Order)
 
 	initGenerators()
 }

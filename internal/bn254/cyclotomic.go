@@ -105,6 +105,17 @@ func wnaf(k *big.Int, w uint) []int8 {
 	return digits
 }
 
+// recombine returns Σ digits[i]·2^i, the integer a signed-digit recoding
+// stands for.
+func recombine(digits []int8) *big.Int {
+	v := new(big.Int)
+	for i := len(digits) - 1; i >= 0; i-- {
+		v.Lsh(v, 1)
+		v.Add(v, big.NewInt(int64(digits[i])))
+	}
+	return v
+}
+
 // gtExpWindow is the recoding width of GT.Exp: eight odd powers in the
 // table and about one multiplication per six exponent bits.
 const gtExpWindow = 5

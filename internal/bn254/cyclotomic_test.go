@@ -95,6 +95,46 @@ func TestWNAFRecoding(t *testing.T) {
 			}
 		}
 	}
+
+	// The recodings the pairing runs on: the width-4 digits of u in
+	// expByU (odd, |d| < 8, 14 nonzero) and the NAF of 6u+2 in millerLoop
+	// (odd, |d| < 2, 22 nonzero against 37 binary ones, leading 1).
+	if uWindow != 4 {
+		t.Fatalf("uWindow = %d, want 4", uWindow)
+	}
+	for _, c := range []struct {
+		name    string
+		digits  []int8
+		k       *big.Int
+		bound   int
+		nonzero int
+	}{
+		{"uNAF", uNAF, u, 8, 14},
+		{"millerLoopNAF", millerLoopNAF, millerLoopCount, 2, 22},
+	} {
+		sum, nonzero := new(big.Int), 0
+		for i := len(c.digits) - 1; i >= 0; i-- {
+			d := int(c.digits[i])
+			sum.Lsh(sum, 1)
+			sum.Add(sum, big.NewInt(int64(d)))
+			if d == 0 {
+				continue
+			}
+			nonzero++
+			if d%2 == 0 || d >= c.bound || d <= -c.bound {
+				t.Fatalf("%s digit %d at %d is not odd with |d| < %d", c.name, d, i, c.bound)
+			}
+		}
+		if sum.Cmp(c.k) != 0 {
+			t.Fatalf("%s digits sum to %v, want %v", c.name, sum, c.k)
+		}
+		if nonzero != c.nonzero {
+			t.Fatalf("%s has %d nonzero digits, want %d", c.name, nonzero, c.nonzero)
+		}
+	}
+	if top := millerLoopNAF[len(millerLoopNAF)-1]; top != 1 {
+		t.Fatalf("millerLoopNAF leading digit %d, want 1", top)
+	}
 }
 
 func TestGTExpMatchesGenericExp(t *testing.T) {

@@ -13,16 +13,26 @@
 // schoolbook product and cancelling one low limb, with the running value
 // in four words and no overflow limb. That is valid because the top limb
 // of p is below 2^63 − 1; since p < 2^255, Add needs no fifth limb either.
-// init panics if either precondition fails. Every kernel is straight-line
-// code over math/bits.Mul64/Add64/Sub64 that canonicalizes its result with
-// a mask, not a branch: no loops, no assembly, no heap allocation.
+// Every kernel is straight-line code over math/bits.Mul64/Add64/Sub64 that
+// canonicalizes its result with a mask, not a branch: no loops, no
+// assembly, no heap allocation.
 //
-// Constant-time contract: Add, Sub, Neg, Double, Mul, Square, Inverse,
-// Sqrt, IsZero, Equal and the Montgomery conversions perform an
-// input-independent sequence of word operations (Inverse and Sqrt are
-// fixed-window exponentiations by the public constant exponents p−2 and
-// (p+1)/4). Conversion to/from big.Int and String are NOT constant time
-// and must only see public values.
+// Unreduced operands: every Element is canonical (< p) except the output
+// of AddUnreduced, which is a + b in [0, 2p) with no final subtraction.
+// Such a value may only be passed to Mul (or Square), and Mul accepts it:
+// because 4p < 2^256, operands below 2p give a Montgomery product
+// (a·b + m·p)/R < 4p²/R + p < 2p (m < R), so Mul's one masked
+// subtraction still returns the canonical residue (and every round's
+// running value stays below a + p < 3p < 2^256, so no round overflows).
+// No other kernel takes unreduced input: Add, Sub, Equal and the encoders
+// assume canonical limbs. init panics if any of these bounds fails.
+//
+// Constant-time contract: Add, AddUnreduced, Sub, Neg, Double, Mul,
+// Square, Inverse, Sqrt, IsZero, Equal and the Montgomery conversions
+// perform an input-independent sequence of word operations (Inverse and
+// Sqrt are fixed-window exponentiations by the public constant exponents
+// p−2 and (p+1)/4). Conversion to/from big.Int and String are NOT
+// constant time and must only see public values.
 //
 // All hard-coded constants are re-derived from the decimal modulus at
 // package init and cross-checked; a mismatch panics, so a transcribed
@@ -88,9 +98,13 @@ func init() {
 	}
 	// Preconditions of the kernels: the no-carry Mul needs a top limb of at
 	// most 2^63 − 2, and Add/Double drop the carry out of the top limb,
-	// which needs p < 2^255.
+	// which needs p < 2^255. Mul on AddUnreduced outputs (below 2p) needs
+	// 4p < 2^256.
 	if q3 > 1<<63-2 || p.BitLen() > 255 {
 		panic("fp: modulus violates the no-carry Mul or carry-free Add precondition")
+	}
+	if new(big.Int).Lsh(p, 2).BitLen() > 256 {
+		panic("fp: modulus violates the 4p < 2^256 bound of unreduced Mul operands")
 	}
 
 	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
@@ -192,6 +206,19 @@ func (z *Element) Add(a, b *Element) *Element {
 	return z
 }
 
+// AddUnreduced sets z = a + b without the final subtraction of p and
+// returns z. For canonical a and b the result lies in [0, 2p), below 2^256
+// since p < 2^255; it is not canonical and may only be an operand of Mul
+// or Square (see the package doc).
+func (z *Element) AddUnreduced(a, b *Element) *Element {
+	var c uint64
+	z[0], c = bits.Add64(a[0], b[0], 0)
+	z[1], c = bits.Add64(a[1], b[1], c)
+	z[2], c = bits.Add64(a[2], b[2], c)
+	z[3], _ = bits.Add64(a[3], b[3], c)
+	return z
+}
+
 // Double sets z = 2a and returns z.
 func (z *Element) Double(a *Element) *Element {
 	// 2a < 2p < 2^256, so the shift drops no bit.
@@ -284,6 +311,8 @@ func madd2(a, b, c, d uint64) (uint64, uint64) {
 // (checked at init), A + C fits in one word at the end of every round, so
 // the working value needs no fifth limb and no round propagates a carry
 // out of it. The result is < 2p; one masked subtraction canonicalizes it.
+// The same holds for operands below 2p, such as AddUnreduced outputs,
+// because 4p < 2^256 (checked at init; see the package doc).
 func (z *Element) Mul(a, b *Element) *Element {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 	var t0, t1, t2, t3, A, C, m uint64

@@ -268,11 +268,7 @@ func TestAliasing(t *testing.T) {
 // range below p.
 func kernelEdges() []kernelEdge {
 	limbs := func(l0, l1, l2, l3 uint64) *big.Int {
-		v := new(big.Int)
-		for _, w := range []uint64{l3, l2, l1, l0} {
-			v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(w))
-		}
-		return v
+		return limbsOf(Element{l0, l1, l2, l3})
 	}
 	const top = ^uint64(0)
 	return []kernelEdge{
@@ -347,9 +343,68 @@ func TestKernelEdgesVsBig(t *testing.T) {
 				check(t, "z.Mul(z, b) "+nb, *z.Mul(&z, &eb), mont(a, b))
 				z = eb
 				check(t, "z.Mul(a, z) "+nb, *z.Mul(&ea, &z), mont(a, b))
+				if got, want := z.AddUnreduced(&ea, &eb), new(big.Int).Add(a, b); *got != elementOf(want) {
+					t.Errorf("AddUnreduced %s = %x, want %x", nb, *got, elementOf(want))
+				}
 			}
 		})
 	}
+
+	// Mul on unreduced operands in [p, 2p), the AddUnreduced outputs that
+	// fp2.Mul and fp2.Square feed it: the result must still be canonical.
+	unreduced := unreducedEdges()
+	t.Run("unreduced", func(t *testing.T) {
+		for _, ex := range unreduced {
+			x, e := ex.v, elementOf(ex.v)
+			var z Element
+			check(t, "Square "+ex.name, *z.Square(&e), mont(x, x))
+			for _, ey := range append(unreduced, edges...) {
+				y, f := ey.v, elementOf(ey.v)
+				check(t, "Mul "+ex.name+" "+ey.name, *z.Mul(&e, &f), mont(x, y))
+				check(t, "Mul "+ey.name+" "+ex.name, *z.Mul(&f, &e), mont(x, y))
+				z = e
+				check(t, "z.Mul(z, b) "+ex.name+" "+ey.name, *z.Mul(&z, &f), mont(x, y))
+			}
+		}
+	})
+}
+
+// unreducedEdges are values in [p, 2p), the range of AddUnreduced: p plus
+// each kernel edge (so p, 2p−1, 2p−2 = (p−1)+(p−1), …), the value
+// AddUnreduced returns for p−1 plus p−1, and the values below 2p with
+// low limbs at the top of their range.
+func unreducedEdges() []kernelEdge {
+	var out []kernelEdge
+	for _, e := range kernelEdges() {
+		out = append(out, kernelEdge{"p+" + e.name, new(big.Int).Add(modulus, e.v)})
+	}
+	pm1 := elementOf(new(big.Int).Sub(modulus, big.NewInt(1)))
+	var sum Element
+	sum.AddUnreduced(&pm1, &pm1)
+	out = append(out, kernelEdge{"(p-1)+(p-1)", limbsOf(sum)})
+
+	twoP := elementOf(new(big.Int).Lsh(modulus, 1))
+	const top = ^uint64(0)
+	out = append(out,
+		kernelEdge{"2p-top-limbs-0..2", limbsOf(Element{top, top, top, twoP[3] - 1})},
+		kernelEdge{"2p-top-limbs-0..1", limbsOf(Element{top, top, twoP[2] - 1, twoP[3]})},
+		kernelEdge{"2p-top-limb-0", limbsOf(Element{top, twoP[1] - 1, twoP[2], twoP[3]})},
+	)
+	for _, e := range out {
+		if e.v.Cmp(modulus) < 0 || e.v.Cmp(new(big.Int).Lsh(modulus, 1)) >= 0 {
+			panic("unreducedEdges: " + e.name + " outside [p, 2p)")
+		}
+	}
+	return out
+}
+
+// limbsOf returns the integer the raw limbs of e stand for.
+func limbsOf(e Element) *big.Int {
+	v := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(e[i]))
+	}
+	return v
 }
 
 func BenchmarkMul(b *testing.B) {

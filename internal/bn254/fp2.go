@@ -91,12 +91,14 @@ func (e *fp2) Mul(a, b *fp2) *fp2 {
 	// Karatsuba over i² = −1: with v0 = a0b0 and v1 = a1b1,
 	//   c0 = v0 − v1
 	//   c1 = (a0+a1)(b0+b1) − v0 − v1
-	// Three base-field multiplications instead of four.
+	// Three base-field multiplications instead of four. The sums a0+a1
+	// and b0+b1 stay unreduced (below 2p): they only feed fp.Mul, which
+	// returns a canonical product for such operands.
 	var v0, v1, s, t fp.Element
 	v0.Mul(&a.c0, &b.c0)
 	v1.Mul(&a.c1, &b.c1)
-	s.Add(&a.c0, &a.c1)
-	t.Add(&b.c0, &b.c1)
+	s.AddUnreduced(&a.c0, &a.c1)
+	t.AddUnreduced(&b.c0, &b.c1)
 	s.Mul(&s, &t)
 	e.c0.Sub(&v0, &v1)
 	s.Sub(&s, &v0)
@@ -113,10 +115,11 @@ func (e *fp2) MulScalar(a *fp2, s *fp.Element) *fp2 {
 
 // Square sets e = a² and returns e.
 func (e *fp2) Square(a *fp2) *fp2 {
-	// (a0 + a1·i)² = (a0−a1)(a0+a1) + 2a0a1·i — two multiplications.
+	// (a0 + a1·i)² = (a0−a1)(a0+a1) + 2a0a1·i — two multiplications;
+	// a0+a1 stays unreduced, as in Mul.
 	var t0, t1, m fp.Element
 	t0.Sub(&a.c0, &a.c1)
-	t1.Add(&a.c0, &a.c1)
+	t1.AddUnreduced(&a.c0, &a.c1)
 	m.Mul(&a.c0, &a.c1)
 	e.c0.Mul(&t0, &t1)
 	e.c1.Double(&m)

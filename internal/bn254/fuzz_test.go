@@ -237,6 +237,30 @@ func FuzzCyclotomicVsGeneric(f *testing.F) {
 	})
 }
 
+// FuzzPairVsReference maps the input to P = a·G1 and Q = b·G2, with a
+// from the first 32 bytes and b from the rest (a multiple of r gives the
+// identity), and checks the production pairing against the binary-loop,
+// generic-hard-part oracle.
+func FuzzPairVsReference(f *testing.F) {
+	f.Add(make([]byte, 64))
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(append(Order.Bytes(), new(big.Int).Sub(Order, big.NewInt(1)).Bytes()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 32 {
+			return
+		}
+		a := new(big.Int).SetBytes(data[:32])
+		b := new(big.Int).SetBytes(data[32:])
+		var p G1
+		var q G2
+		p.ScalarBaseMult(a)
+		q.ScalarBaseMult(b)
+		if got := finalExponentiation(millerLoop(&p, &q)); !got.Equal(pairReference(&p, &q)) {
+			t.Fatalf("pairing != reference for a=%v, b=%v", a, b)
+		}
+	})
+}
+
 func FuzzHashToZr(f *testing.F) {
 	f.Add([]byte("type"))
 	f.Add([]byte{})

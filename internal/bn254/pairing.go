@@ -192,8 +192,18 @@ func addStep(lc *lineCoeff, T *g2Jac, Q *G2) bool {
 	return true
 }
 
-// millerLoop computes the optimal ate Miller function f_{6u+2,Q}(P): the
-// 6u+2 double-and-add ladder followed by the two Frobenius line steps.
+// millerLoopNAF is the non-adjacent form of 6u+2, the optimal ate loop
+// counter, least significant digit first. It has 22 nonzero digits where
+// the binary form has 37 ones; init checks that the digits recombine to
+// 6u+2 and that the top digit is 1.
+var millerLoopNAF = wnaf(new(big.Int).Add(new(big.Int).Mul(u, big.NewInt(6)), big.NewInt(2)), 2)
+
+// millerLoop computes the optimal ate Miller function f_{6u+2,Q}(P), up to
+// factors that the final exponentiation removes: a signed-digit
+// double-and-add ladder over millerLoopNAF followed by the two Frobenius
+// line steps. A −1 digit adds −Q; the vertical lines the signed recurrence
+// would divide by lie in Fp6 and are killed by the easy part, so the
+// pairing is the one the binary ladder gives.
 func millerLoop(P *G1, Q *G2) *fp12 {
 	var f fp12
 	f.SetOne()
@@ -202,14 +212,21 @@ func millerLoop(P *G1, Q *G2) *fp12 {
 	}
 	var T g2Jac
 	T.fromAffine(Q)
+	var minusQ G2
+	minusQ.Neg(Q)
 	var lc lineCoeff
-	for i := millerLoopCount.BitLen() - 2; i >= 0; i-- {
+	for i := len(millerLoopNAF) - 2; i >= 0; i-- {
 		f.Square(&f)
 		if doubleStep(&lc, &T) {
 			evalLine(&f, &lc, P)
 		}
-		if millerLoopCount.Bit(i) == 1 {
+		switch millerLoopNAF[i] {
+		case 1:
 			if addStep(&lc, &T, Q) {
+				evalLine(&f, &lc, P)
+			}
+		case -1:
+			if addStep(&lc, &T, &minusQ) {
 				evalLine(&f, &lc, P)
 			}
 		}
@@ -251,13 +268,19 @@ func easyPart(f *fp12) *fp12 {
 	return &r
 }
 
-// uNAF is the non-adjacent form of the BN parameter u, the exponent of
-// the three expByU calls in every final exponentiation.
-var uNAF = wnaf(u, 2)
+// uWindow is the recoding width of u. At width 4, u has 14 nonzero digits
+// (24 in its NAF), so one u-power costs 63 cyclotomic squarings and 16
+// multiplications, 3 of them for the table a, a³, a⁵, a⁷ (the NAF costs
+// 62 and 23). Width 5 has 12 digits but a 7-multiplication table.
+const uWindow = 4
+
+// uNAF is the width-uWindow recoding of the BN parameter u, the exponent
+// of the three expByU calls in every final exponentiation.
+var uNAF = wnaf(u, uWindow)
 
 // expByU sets dst = a^u for a in the cyclotomic subgroup and returns dst.
 func expByU(dst, a *fp12) *fp12 {
-	return dst.cyclotomicExp(a, uNAF, 2)
+	return dst.cyclotomicExp(a, uNAF, uWindow)
 }
 
 // hardPartChain computes m^((p⁴−p²+1)/r) with the addition chain of

@@ -2,6 +2,7 @@ package bn254
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -188,6 +189,47 @@ func TestHardPartImplementationsAgree(t *testing.T) {
 		direct := hardPartDirect(easy)
 		if !chain.Equal(direct) {
 			t.Fatal("hard-part addition chain disagrees with direct exponentiation")
+		}
+	}
+}
+
+// TestPairMatchesReference pins the production pairing, the signed-digit
+// Miller loop with the addition-chain final exponentiation, to the oracle
+// path: the binary-digit Miller loop, the easy part and a generic
+// exponentiation by (p⁴−p²+1)/r. Random points on both sides, their
+// negations and the identities.
+func TestPairMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	type pair struct {
+		name string
+		p    *G1
+		q    *G2
+	}
+	cases := []pair{
+		{"generators", G1Generator(), G2Generator()},
+		{"inf-left", G1Infinity(), G2Generator()},
+		{"inf-right", G1Generator(), G2Infinity()},
+		{"inf-both", G1Infinity(), G2Infinity()},
+	}
+	for i := 0; i < 3; i++ {
+		var p, np G1
+		var q, nq G2
+		p.ScalarBaseMult(new(big.Int).Rand(r, Order))
+		q.ScalarBaseMult(new(big.Int).Rand(r, Order))
+		np.Neg(&p)
+		nq.Neg(&q)
+		cases = append(cases,
+			pair{fmt.Sprintf("random-%d", i), &p, &q},
+			pair{fmt.Sprintf("random-%d-neg-q", i), &p, &nq},
+			pair{fmt.Sprintf("random-%d-neg-p", i), &np, &q})
+	}
+	for _, c := range cases {
+		want := pairReference(c.p, c.q)
+		if got := finalExponentiation(millerLoop(c.p, c.q)); !got.Equal(want) {
+			t.Errorf("%s: finalExponentiation(millerLoop) != reference", c.name)
+		}
+		if got := Pair(c.p, c.q); !got.v.Equal(want) {
+			t.Errorf("%s: Pair != reference", c.name)
 		}
 	}
 }
