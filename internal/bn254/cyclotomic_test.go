@@ -99,9 +99,6 @@ func TestWNAFRecoding(t *testing.T) {
 	// The recodings the pairing runs on: the width-4 digits of u in
 	// expByU (odd, |d| < 8, 14 nonzero) and the NAF of 6u+2 in millerLoop
 	// (odd, |d| < 2, 22 nonzero against 37 binary ones, leading 1).
-	if uWindow != 4 {
-		t.Fatalf("uWindow = %d, want 4", uWindow)
-	}
 	for _, c := range []struct {
 		name    string
 		digits  []int8
