@@ -3,6 +3,7 @@ package phr
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -152,6 +154,18 @@ type ServerMetrics struct {
 	// gate the crash-recovery CI job compares across a SIGKILL/restart.
 	StoreRecords int                      `json:"store_records"`
 	Endpoints    []loadstat.EndpointStats `json:"endpoints"`
+	// Audit sizes each proxy's audit log, ordered by category.
+	Audit []AuditLogStats `json:"audit"`
+}
+
+// AuditLogStats sizes one proxy's audit log: its entry count and the byte
+// length of its JSON array body (brackets excluded), the bulk of what the
+// log holds in memory.
+type AuditLogStats struct {
+	Category Category `json:"category"`
+	Proxy    string   `json:"proxy"`
+	Entries  int      `json:"entries"`
+	Bytes    int      `json:"bytes"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -163,6 +177,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		StoreRecords:  s.svc.Store.Count(),
 		Endpoints:     s.metrics.Snapshot(uptime),
 	}
+	for c, p := range s.svc.Proxies() {
+		entries, size := p.Audit().Size()
+		m.Audit = append(m.Audit, AuditLogStats{Category: c, Proxy: p.Name(), Entries: entries, Bytes: size})
+	}
+	slices.SortFunc(m.Audit, func(a, b AuditLogStats) int { return cmp.Compare(a.Category, b.Category) })
 	buf, err := json.Marshal(m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -411,8 +430,9 @@ func (s *Server) handleRevokeGrant(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	category := Category(q.Get("category"))
-	proxy, err := s.svc.ProxyFor(category)
+	// Route by the logical category, as install and revoke do: a caller
+	// may name the proxy by a rotation-epoch wire type ("medication#e1").
+	proxy, err := s.svc.ProxyFor(BaseCategory(Category(q.Get("category"))))
 	if err != nil {
 		httpError(w, err)
 		return
@@ -425,28 +445,9 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Marshal (or extend the encode cache) before touching the
-	// ResponseWriter so an encoding failure can still surface as a status
-	// code instead of a torn 200 body.
-	log := proxy.Audit()
-	if limit > 0 {
-		// Bounded tails are small; marshal them directly.
-		buf, err := json.Marshal(log.Tail(limit))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf)
-		return
-	}
-	// Full log: serve the incremental encode cache — O(new entries)
-	// encoding work, zero-copy write of the cached body.
-	body, err := log.JSONBody()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	// The log is stored as its wire form: every form of the response is a
+	// zero-copy slice of it.
+	body := proxy.Audit().TailJSON(limit)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)+2))
 	w.Write([]byte{'['})

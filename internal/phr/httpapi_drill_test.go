@@ -202,6 +202,33 @@ func TestHTTPRevokeByWireType(t *testing.T) {
 	}
 }
 
+// TestHTTPAuditByWireType reads a proxy's audit log by the rotation-epoch
+// wire type ("medication#e1"), as revoke may name a grant: the audit route
+// must strip the epoch suffix to find the proxy, not answer 404.
+func TestHTTPAuditByWireType(t *testing.T) {
+	h := newHTTPScenario(t)
+	rec := h.sealRecord(t, "alice/wire-audit", CategoryMedication, []byte("metformin 500mg"))
+	if err := h.client.PutRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.alice.RotateTypeKey(h.svc.Store, CategoryMedication, nil); err != nil {
+		t.Fatal(err)
+	}
+	h.client.Disclose("alice/wire-audit", "eve@outside.example") // denied, audited
+	wireType := core.VersionedType(core.Type(CategoryMedication), h.alice.Epoch(CategoryMedication))
+	byWire, err := h.client.Audit(wireType)
+	if err != nil {
+		t.Fatalf("audit by wire type %q: %v", wireType, err)
+	}
+	byBase, err := h.client.Audit(CategoryMedication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(byWire) != 1 || byWire[0].Outcome != OutcomeNoGrant || byWire[0].Seq != byBase[0].Seq {
+		t.Fatalf("audit by wire type = %+v, by category = %+v", byWire, byBase)
+	}
+}
+
 // TestHTTPBreakGlassDrill runs the break-glass story over the wire: the
 // mandatory reason (400 without it, no audit traffic), streamed emergency
 // disclosure through the standing grant, the distinguishable audit

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -409,6 +410,52 @@ func TestHTTPAuditContentType(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("fresh audit log = %+v", entries)
+	}
+}
+
+// TestHTTPMetricsAuditSize checks the per-proxy audit sizes /v1/metrics
+// reports: one row per proxy, entries equal to the log's Len, and bytes
+// equal to the unlimited /v1/audit body without its two brackets.
+func TestHTTPMetricsAuditSize(t *testing.T) {
+	h := newHTTPScenario(t)
+	rec := h.sealRecord(t, "alice/r1", CategoryEmergency, []byte("x"))
+	if err := h.client.PutRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		h.client.Disclose("alice/r1", "eve@outside.example") // denied, audited
+	}
+	m, err := h.client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Audit) != len(h.svc.Proxies()) {
+		t.Fatalf("metrics size %d audit logs, want %d", len(m.Audit), len(h.svc.Proxies()))
+	}
+	for _, st := range m.Audit {
+		proxy, err := h.svc.ProxyFor(st.Category)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Proxy != proxy.Name() || st.Entries != proxy.Audit().Len() {
+			t.Fatalf("%s: metrics %+v, proxy %s with %d entries", st.Category, st, proxy.Name(), proxy.Audit().Len())
+		}
+		resp, err := http.Get(h.ts.URL + "/v1/audit?category=" + string(st.Category))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Bytes != len(body)-2 || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("%s: bytes = %d, Content-Length = %d, body = %d bytes",
+				st.Category, st.Bytes, resp.ContentLength, len(body))
+		}
+		if st.Category == CategoryEmergency && st.Entries != 3 {
+			t.Fatalf("emergency audit entries = %d, want 3", st.Entries)
+		}
 	}
 }
 
