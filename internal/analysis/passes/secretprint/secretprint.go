@@ -36,8 +36,8 @@ var printFuncs = map[string]bool{
 	"(*log.Logger).Print": true, "(*log.Logger).Printf": true, "(*log.Logger).Println": true,
 	"(*log.Logger).Fatal": true, "(*log.Logger).Fatalf": true, "(*log.Logger).Fatalln": true,
 	"(*log.Logger).Panic": true, "(*log.Logger).Panicf": true, "(*log.Logger).Panicln": true,
-	"(*log.Logger).Output": true,
-	"log/slog.Debug": true, "log/slog.Info": true, "log/slog.Warn": true, "log/slog.Error": true,
+	"(*log.Logger).Output": true, "log/slog.Debug": true, "log/slog.Info": true,
+	"log/slog.Warn": true, "log/slog.Error": true,
 	"(*log/slog.Logger).Debug": true, "(*log/slog.Logger).Info": true,
 	"(*log/slog.Logger).Warn": true, "(*log/slog.Logger).Error": true,
 }

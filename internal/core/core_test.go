@@ -495,69 +495,6 @@ func TestTypeExponentDistinct(t *testing.T) {
 	}
 }
 
-func TestDelegateMany(t *testing.T) {
-	f := newFixture(t)
-	carolKey := f.kgc2.Extract("carol@lab.example")
-	reqs := []DelegationRequest{
-		{DelegateeParams: f.kgc2.Params(), DelegateeID: "bob@clinic.example", Type: "t1"},
-		{DelegateeParams: f.kgc2.Params(), DelegateeID: "carol@lab.example", Type: "t2"},
-	}
-	rks, err := f.alice.DelegateMany(reqs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rks) != 2 {
-		t.Fatalf("got %d rekeys", len(rks))
-	}
-	m := randomMessage(t)
-	ct1, _ := f.alice.Encrypt(m, "t1", nil)
-	ct2, _ := f.alice.Encrypt(m, "t2", nil)
-	rct1, err := ReEncrypt(ct1, rks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rct2, err := ReEncrypt(ct2, rks[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := DecryptReEncrypted(f.bobKey, rct1); !got.Equal(m) {
-		t.Fatal("batch rekey 0 broken")
-	}
-	if got, _ := DecryptReEncrypted(carolKey, rct2); !got.Equal(m) {
-		t.Fatal("batch rekey 1 broken")
-	}
-	// Independent delegation secrets per rekey.
-	if rks[0].RK.Equal(rks[1].RK) {
-		t.Fatal("batch rekeys share material")
-	}
-}
-
-func TestDelegateAllTypes(t *testing.T) {
-	f := newFixture(t)
-	types := []Type{"illness-history", "food-statistics", "emergency"}
-	rks, err := f.alice.DelegateAllTypes(f.kgc2.Params(), "bob@clinic.example", types, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rks) != len(types) {
-		t.Fatalf("got %d rekeys, want %d", len(rks), len(types))
-	}
-	for i, typ := range types {
-		if rks[i].Type != typ || rks[i].DelegateeID != "bob@clinic.example" {
-			t.Fatalf("rekey %d metadata wrong: %+v", i, rks[i])
-		}
-		m := randomMessage(t)
-		ct, _ := f.alice.Encrypt(m, typ, nil)
-		rct, err := ReEncrypt(ct, rks[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := DecryptReEncrypted(f.bobKey, rct); !got.Equal(m) {
-			t.Fatalf("type %q not delegated correctly", typ)
-		}
-	}
-}
-
 func TestEncryptDecryptQuickProperty(t *testing.T) {
 	// Property: for random exponents k and random type strings, the round
 	// trip Encrypt1→Decrypt1 is the identity on messages gt^k.

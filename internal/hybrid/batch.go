@@ -15,24 +15,19 @@ import (
 // and hands results back in input order as they complete, so a caller can
 // stream them to the network without buffering the whole batch.
 
-// DefaultBatchWorkers is the worker-pool size used when a caller passes
-// workers <= 0: one worker per schedulable CPU.
-func DefaultBatchWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // ReEncryptStream transforms every ciphertext with the prepared proxy key
-// across a pool of `workers` goroutines (DefaultBatchWorkers when <= 0)
-// and calls yield exactly once per completed input, in input order, as
-// results become available. Dispatch is throttled to the emit frontier:
-// at most ~2×workers items are in flight or waiting un-emitted, so memory
-// stays O(workers) regardless of len(cts).
+// across a pool of workers = runtime.GOMAXPROCS(0) goroutines (inline
+// when that or len(cts) is 1) and calls yield exactly once per completed
+// input, in input order, as results become available. Dispatch is
+// throttled to the emit frontier: at most ~2×workers items are in flight
+// or waiting un-emitted, so memory stays O(workers) regardless of
+// len(cts).
 //
 // The first re-encryption or yield error stops the pool and is returned;
 // yield is never called again after it returns an error. yield runs on
 // the calling goroutine.
-func ReEncryptStream(cts []*Ciphertext, prk *core.PreparedReKey, workers int, yield func(*ReCiphertext) error) error {
-	if workers <= 0 {
-		workers = DefaultBatchWorkers()
-	}
+func ReEncryptStream(cts []*Ciphertext, prk *core.PreparedReKey, yield func(*ReCiphertext) error) error {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(cts) {
 		workers = len(cts)
 	}

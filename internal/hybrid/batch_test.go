@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -32,25 +33,32 @@ func batchFixture(t *testing.T, n int) (*fixture, []*Ciphertext, [][]byte, *core
 	return f, cts, bodies, core.PrepareReKey(rk)
 }
 
+// The pool is sized by GOMAXPROCS, so each test sets it for its own
+// duration with defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w)). That is
+// process-wide state: none of these tests may call t.Parallel.
+
 // collect runs ReEncryptStream and gathers its results in emission order.
-func collect(cts []*Ciphertext, prk *core.PreparedReKey, workers int) ([]*ReCiphertext, error) {
+func collect(cts []*Ciphertext, prk *core.PreparedReKey) ([]*ReCiphertext, error) {
 	var out []*ReCiphertext
-	err := ReEncryptStream(cts, prk, workers, func(rct *ReCiphertext) error {
+	err := ReEncryptStream(cts, prk, func(rct *ReCiphertext) error {
 		out = append(out, rct)
 		return nil
 	})
 	return out, err
 }
 
-// TestReEncryptBatchMatchesSerial pins batch re-encryption at every worker
-// count to the serial (workers=1, inline) result: input order kept,
+// TestReEncryptBatchMatchesSerial pins batch re-encryption at every pool
+// size to the serial (GOMAXPROCS=1, inline) result: input order kept,
 // byte-identical plaintexts after delegatee decryption.
 func TestReEncryptBatchMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 17} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			f, cts, bodies, prk := batchFixture(t, n)
-			for _, workers := range []int{0, 1, 4, 64} {
-				rcts, err := collect(cts, prk, workers)
+			for _, workers := range []int{1, 4, 64} {
+				rcts, err := func() ([]*ReCiphertext, error) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+					return collect(cts, prk)
+				}()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,10 +82,10 @@ func TestReEncryptBatchMatchesSerial(t *testing.T) {
 // TestReEncryptStreamOrderAndBoundedWindow checks ordered emission and that
 // a slow consumer throttles dispatch instead of letting results pile up.
 func TestReEncryptStreamOrderAndBoundedWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	f, cts, bodies, prk := batchFixture(t, 12)
-	workers := 3
 	seen := 0
-	err := ReEncryptStream(cts, prk, workers, func(rct *ReCiphertext) error {
+	err := ReEncryptStream(cts, prk, func(rct *ReCiphertext) error {
 		got, err := DecryptReEncrypted(f.bobKey, rct)
 		if err != nil {
 			return err
@@ -99,9 +107,10 @@ func TestReEncryptStreamOrderAndBoundedWindow(t *testing.T) {
 // TestReEncryptStreamPropagatesErrors covers both failure sources: a bad
 // input ciphertext and a yield that rejects mid-stream.
 func TestReEncryptStreamPropagatesErrors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	_, cts, _, prk := batchFixture(t, 9)
 	cts[4] = &Ciphertext{} // nil KEM → ErrDecrypt from ReEncryptPrepared
-	err := ReEncryptStream(cts, prk, 4, func(*ReCiphertext) error { return nil })
+	err := ReEncryptStream(cts, prk, func(*ReCiphertext) error { return nil })
 	if err == nil {
 		t.Fatal("bad ciphertext did not fail the stream")
 	}
@@ -109,7 +118,7 @@ func TestReEncryptStreamPropagatesErrors(t *testing.T) {
 	_, cts, _, prk = batchFixture(t, 9)
 	sentinel := errors.New("consumer says stop")
 	yields := 0
-	err = ReEncryptStream(cts, prk, 4, func(*ReCiphertext) error {
+	err = ReEncryptStream(cts, prk, func(*ReCiphertext) error {
 		yields++
 		if yields == 3 {
 			return sentinel
@@ -128,6 +137,7 @@ func TestReEncryptStreamPropagatesErrors(t *testing.T) {
 // from many streams at once (the race-detector target for the pool and the
 // adjustment cache).
 func TestReEncryptBatchConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	f, cts, bodies, prk := batchFixture(t, 8)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -135,7 +145,7 @@ func TestReEncryptBatchConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rcts, err := collect(cts, prk, 4)
+			rcts, err := collect(cts, prk)
 			if err != nil {
 				errs <- err
 				return

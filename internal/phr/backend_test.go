@@ -203,3 +203,24 @@ func TestBackendPatientsAndCategories(t *testing.T) {
 		}
 	})
 }
+
+// TestBackendReadsAfterCloseFail pins the Close half of the contract on
+// the read side: once closed, Get and both List methods return
+// ErrStorage, never the records the backend held.
+func TestBackendReadsAfterCloseFail(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b phr.Backend) {
+		put(t, b, "a1", "alice", phr.CategoryEmergency)
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := b.Get("a1"); !errors.Is(err, phr.ErrStorage) {
+			t.Errorf("Get after Close = %v, %v; want ErrStorage", r, err)
+		}
+		if recs, err := b.ListByPatient("alice"); !errors.Is(err, phr.ErrStorage) {
+			t.Errorf("ListByPatient after Close = %d records, %v; want ErrStorage", len(recs), err)
+		}
+		if recs, err := b.ListByPatientCategory("alice", phr.CategoryEmergency); !errors.Is(err, phr.ErrStorage) {
+			t.Errorf("ListByPatientCategory after Close = %d records, %v; want ErrStorage", len(recs), err)
+		}
+	})
+}

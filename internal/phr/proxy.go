@@ -202,7 +202,7 @@ func (p *Proxy) disclose(d disclosure, fetch func() ([]*EncryptedRecord, error),
 	next := 0
 	var yieldErr error // consumer rejection, not a transformation failure
 	revoked := false
-	err = hybrid.ReEncryptStream(cts, rk, 0, func(rct *hybrid.ReCiphertext) error {
+	err = hybrid.ReEncryptStream(cts, rk, func(rct *hybrid.ReCiphertext) error {
 		rec := recs[next]
 		next++
 		// Re-check liveness before the record leaves the proxy: a revoked

@@ -85,7 +85,11 @@ func (s *memBackend) Replace(r *EncryptedRecord) error {
 func (s *memBackend) Get(id string) (*EncryptedRecord, error) {
 	s.mu.RLock()
 	r, ok := s.byID[id]
+	closed := s.closed
 	s.mu.RUnlock()
+	if closed {
+		return nil, fmt.Errorf("%w: store closed", ErrStorage)
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -108,7 +112,8 @@ func (s *memBackend) Delete(id string) error {
 	return nil
 }
 
-// Close marks the backend closed; further writes fail with ErrStorage.
+// Close marks the backend closed; further writes and record reads fail
+// with ErrStorage.
 // There is nothing to flush — the memory backend is not durable.
 func (s *memBackend) Close() error {
 	s.mu.Lock()
@@ -142,6 +147,10 @@ func cloneAll(recs []*EncryptedRecord) []*EncryptedRecord {
 // ListByPatient returns all records of a patient in insertion order.
 func (s *memBackend) ListByPatient(patientID string) ([]*EncryptedRecord, error) {
 	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return nil, fmt.Errorf("%w: store closed", ErrStorage)
+	}
 	recs := s.collect(s.index.IDs(patientID))
 	s.mu.RUnlock()
 	return cloneAll(recs), nil
@@ -151,6 +160,10 @@ func (s *memBackend) ListByPatient(patientID string) ([]*EncryptedRecord, error)
 // insertion order — the secondary-index read path proxies use.
 func (s *memBackend) ListByPatientCategory(patientID string, c Category) ([]*EncryptedRecord, error) {
 	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return nil, fmt.Errorf("%w: store closed", ErrStorage)
+	}
 	recs := s.collect(s.index.IDsIn(patientID, c))
 	s.mu.RUnlock()
 	return cloneAll(recs), nil

@@ -79,7 +79,7 @@ func (r *EncryptedRecord) Clone() *EncryptedRecord {
 	return &cp
 }
 
-// recordIDCounter helps tests and the workload generator mint unique IDs.
+// recordID names a patient's n-th record (Patient.AddRecord).
 func recordID(patientID string, n int) string {
 	return fmt.Sprintf("%s/rec-%06d", patientID, n)
 }

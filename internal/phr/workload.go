@@ -5,8 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"typepre/internal/core"
-	"typepre/internal/hybrid"
 	"typepre/internal/ibe"
 )
 
@@ -14,7 +12,8 @@ import (
 // not available (and would be unusable in a public repository); this
 // generator reproduces the *structure* of the §5 scenario: patients with
 // records spread over privacy categories, and clinicians granted access to
-// subsets of those categories. The substitution is documented in DESIGN.md.
+// subsets of those categories. The substitution is documented in the
+// README's "Experiments" section.
 type WorkloadConfig struct {
 	Seed              int64
 	Patients          int
@@ -53,21 +52,18 @@ func DefaultWorkload() WorkloadConfig {
 }
 
 // BulkFixture is the single-patient bulk-disclosure corpus shared by the
-// bulk-disclosure tests, BenchmarkDiscloseCategory and typepre-bench's
-// E9: n emergency records for one patient, one requester, one installed
-// grant.
+// bulk-disclosure tests and BenchmarkDiscloseCategory (E9): n emergency
+// records for one patient, one requester, one installed grant.
 type BulkFixture struct {
 	*Workload
 	Proxy       *Proxy
 	PatientID   string
 	RequesterID string
-
-	grant *core.PreparedReKey // an equal rekey, prepared outside the proxy
 }
 
 // NewBulkFixture materializes the corpus. Callers measuring the warm
-// serving path should run one disclosure (or ReEncrypt) first to populate
-// the prepared grant's pairing cache.
+// serving path should run one disclosure first to populate the installed
+// grant's pairing cache.
 func NewBulkFixture(records int) (*BulkFixture, error) {
 	cfg := DefaultWorkload()
 	cfg.Patients = 1
@@ -86,36 +82,12 @@ func NewBulkFixture(records int) (*BulkFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	rk, err := w.Patients[0].Delegator().Delegate(w.KGC2.Params(), w.Grants[0].RequesterID, CategoryEmergency, nil)
-	if err != nil {
-		return nil, err
-	}
 	return &BulkFixture{
 		Workload:    w,
 		Proxy:       proxy,
 		PatientID:   w.Patients[0].ID(),
 		RequesterID: w.Grants[0].RequesterID,
-		grant:       core.PrepareReKey(rk),
 	}, nil
-}
-
-// ReEncrypt lists the fixture's records and re-encrypts them toward the
-// requester with hybrid.ReEncryptStream across `workers` goroutines
-// (GOMAXPROCS when <= 0): the transformation the proxy's bulk path runs,
-// with the pool size exposed so a benchmark can set serial (1) against
-// parallel. It returns the number of records re-encrypted.
-func (f *BulkFixture) ReEncrypt(workers int) (int, error) {
-	recs, err := f.Service.Store.ListByPatientCategory(f.PatientID, CategoryEmergency)
-	if err != nil {
-		return 0, err
-	}
-	cts := make([]*hybrid.Ciphertext, len(recs))
-	for i, rec := range recs {
-		cts[i] = rec.Sealed
-	}
-	n := 0
-	err = hybrid.ReEncryptStream(cts, f.grant, workers, func(*hybrid.ReCiphertext) error { n++; return nil })
-	return n, err
 }
 
 // Grant names one installed delegation in a generated workload.
