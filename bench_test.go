@@ -9,7 +9,8 @@
 //	E5 "Figure 1" — delegation setup cost vs number of categories
 //	E6 "Figure 2" — blast radius of proxy compromise
 //	E7 "Figure 3" — end-to-end disclosure vs payload size
-//	E9            — bulk category disclosure (BenchmarkDiscloseCategory)
+//	E9            — bulk category disclosure (BenchmarkDiscloseCategory, warm;
+//	                BenchmarkDiscloseCategoryCold, a pairing per record)
 //
 // E8, the collusion outcomes, is a set of tests, not timings; the README
 // table names them.
@@ -603,19 +604,26 @@ func BenchmarkE7_ProxyOnly_1MiB(b *testing.B)  { benchE7Proxy(b, 1<<20) }
 // (grant lookup, hybrid.ReEncryptStream, per-record liveness re-check and
 // audit) over a workload-generated patient. The pool is sized by
 // GOMAXPROCS, so serial against parallel is
-// `go test -bench DiscloseCategory -cpu 1,2`. Order and byte-identical
-// plaintexts are pinned by the internal/hybrid and internal/phr tests;
-// here we measure throughput.
+// `go test -bench DiscloseCategory -cpu 1,2`. The warm variant serves
+// every record from the grant's pairing cache; the cold one pays a
+// pairing per record. Order and byte-identical plaintexts are pinned by
+// the internal/hybrid and internal/phr tests; here we measure throughput.
 // ---------------------------------------------------------------------------
 
-func benchDiscloseCategory(b *testing.B, records int) {
+func benchDiscloseCategory(b *testing.B, records int, cold bool) {
 	// A fresh corpus per run: every disclosed record appends to the
 	// proxy's audit log, which must not carry over between runs.
 	f, err := phr.NewBulkFixture(records)
 	if err != nil {
 		b.Fatal(err)
 	}
+	rk := f.Proxy.CompromisedGrants()[0] // the fixture's one installed rekey
 	disclose := func() {
+		if cold {
+			if err := f.Proxy.Install(rk); err != nil {
+				b.Fatal(err)
+			}
+		}
 		n := 0
 		err := f.Proxy.DiscloseCategoryStream(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID,
 			func(*hybrid.ReCiphertext) error { n++; return nil })
@@ -626,8 +634,8 @@ func benchDiscloseCategory(b *testing.B, records int) {
 			b.Fatalf("disclosed %d records, want %d", n, records)
 		}
 	}
-	// Warm the grant's per-record pairing cache: the runs measure the
-	// steady-state serving path (write once, disclose many).
+	// Warm the grant's per-record pairing cache: the warm runs measure
+	// the steady-state serving path (write once, disclose many).
 	disclose()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -638,7 +646,17 @@ func benchDiscloseCategory(b *testing.B, records int) {
 
 func BenchmarkDiscloseCategory(b *testing.B) {
 	for _, n := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("records-%d", n), func(b *testing.B) { benchDiscloseCategory(b, n) })
+		b.Run(fmt.Sprintf("records-%d", n), func(b *testing.B) { benchDiscloseCategory(b, n, false) })
+	}
+}
+
+// BenchmarkDiscloseCategoryCold is E9 with no warm cache: before each
+// iteration the fixture's rekey is installed again, which replaces the
+// prepared rekey and empties its pairing cache, so every record pays a
+// bn254 pairing (the first disclosure under a new grant).
+func BenchmarkDiscloseCategoryCold(b *testing.B) {
+	for _, n := range []int{1, 8, 64, 512} {
+		b.Run(fmt.Sprintf("records-%d", n), func(b *testing.B) { benchDiscloseCategory(b, n, true) })
 	}
 }
 

@@ -13,9 +13,13 @@
 // schoolbook product and cancelling one low limb, with the running value
 // in four words and no overflow limb. That is valid because the top limb
 // of p is below 2^63 − 1; since p < 2^255, Add needs no fifth limb either.
-// Every kernel is straight-line code over math/bits.Mul64/Add64/Sub64 that
-// canonicalizes its result with a mask, not a branch: no loops, no
-// assembly, no heap allocation.
+// Every Go kernel is straight-line code over math/bits.Mul64/Add64/Sub64
+// that canonicalizes its result with a mask, not a branch: no loops, no
+// heap allocation. On amd64 CPUs with ADX and BMI2, Mul runs an assembly
+// version of the same CIOS (mul_amd64.s: MULX with the two carry chains of
+// ADCX/ADOX, a CMOV final subtraction); everywhere else, and as the test
+// oracle, it runs the Go kernel mulGeneric. The CPU alone picks the kernel
+// once at init; there is no flag, build tag or environment switch.
 //
 // Unreduced operands: every Element is canonical (< p) except the output
 // of AddUnreduced, which is a + b in [0, 2p) with no final subtraction.
@@ -31,7 +35,9 @@
 // Square, Inverse, Sqrt, IsZero, Equal and the Montgomery conversions
 // perform an input-independent sequence of word operations (Inverse and
 // Sqrt are fixed-window exponentiations by the public constant exponents
-// p−2 and (p+1)/4). Conversion to/from big.Int and String are NOT
+// p−2 and (p+1)/4). The ADX Mul kernel keeps the contract: a fixed
+// instruction sequence with no branch and no table lookup, ending in a
+// CMOV, not a jump. Conversion to/from big.Int and String are NOT
 // constant time and must only see public values.
 //
 // All hard-coded constants are re-derived from the decimal modulus at
@@ -41,6 +47,7 @@
 package fp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -87,13 +94,7 @@ func init() {
 	}
 	modulus = p
 
-	toLimbs := func(x *big.Int) (out [4]uint64) {
-		for i, w := range x.Bits() {
-			out[i] = uint64(w)
-		}
-		return
-	}
-	if toLimbs(p) != [4]uint64{q0, q1, q2, q3} {
+	if limbsFromBig(p) != (Element{q0, q1, q2, q3}) {
 		panic("fp: modulus limbs do not match decimal modulus")
 	}
 	// Preconditions of the kernels: the no-carry Mul needs a top limb of at
@@ -115,21 +116,21 @@ func init() {
 
 	r := new(big.Int).Lsh(big.NewInt(1), 256)
 	rMod := new(big.Int).Mod(r, p)
-	if Element(toLimbs(rMod)) != one {
+	if limbsFromBig(rMod) != one {
 		panic("fp: Montgomery one does not match R mod p")
 	}
 	r2 := new(big.Int).Mul(rMod, rMod)
 	r2.Mod(r2, p)
-	if Element(toLimbs(r2)) != rSquare {
+	if limbsFromBig(r2) != rSquare {
 		panic("fp: rSquare does not match R² mod p")
 	}
 
-	if toLimbs(new(big.Int).Sub(p, big.NewInt(2))) != pMinus2 {
+	if limbsFromBig(new(big.Int).Sub(p, big.NewInt(2))) != pMinus2 {
 		panic("fp: pMinus2 does not match p−2")
 	}
 	pp14 := new(big.Int).Add(p, big.NewInt(1))
 	pp14.Rsh(pp14, 2)
-	if toLimbs(pp14) != pPlus1Over4 {
+	if limbsFromBig(pp14) != pPlus1Over4 {
 		panic("fp: pPlus1Over4 does not match (p+1)/4")
 	}
 }
@@ -302,7 +303,19 @@ func madd2(a, b, c, d uint64) (uint64, uint64) {
 }
 
 // Mul sets z = a·b (Montgomery product a·b·R⁻¹ mod p) and returns z.
-// Aliasing of z with a or b is allowed.
+// Aliasing of z with a or b is allowed. It runs the ADX assembly kernel
+// when the CPU has one (see useADX) and mulGeneric otherwise; both honour
+// the same contract: operands below 2p, any aliasing, constant time, no
+// allocation, and the same canonical result.
+func (z *Element) Mul(a, b *Element) *Element {
+	if useADX {
+		mulADX(z, a, b)
+		return z
+	}
+	return z.mulGeneric(a, b)
+}
+
+// mulGeneric is the portable Go Montgomery kernel behind Mul.
 //
 // This is the "no-carry" CIOS of Koç–Acar–Kaliski as refined for
 // gnark-crypto (Botrel, Gutoski, Piellard): each of the four rounds adds
@@ -313,7 +326,7 @@ func madd2(a, b, c, d uint64) (uint64, uint64) {
 // out of it. The result is < 2p; one masked subtraction canonicalizes it.
 // The same holds for operands below 2p, such as AddUnreduced outputs,
 // because 4p < 2^256 (checked at init; see the package doc).
-func (z *Element) Mul(a, b *Element) *Element {
+func (z *Element) mulGeneric(a, b *Element) *Element {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 	var t0, t1, t2, t3, A, C, m uint64
 
@@ -383,9 +396,10 @@ func (z *Element) Mul(a, b *Element) *Element {
 	return z
 }
 
-// Square sets z = a² and returns z. A dedicated squaring saves under ~15%
-// for 4 limbs; this implementation keeps one multiplication path so the
-// differential fuzz surface stays small.
+// Square sets z = a² and returns z. It is Mul(a, a), so it runs whichever
+// kernel Mul runs: a dedicated squaring would save under ~15% for 4 limbs,
+// and one multiplication path per architecture keeps the differential
+// test surface small.
 func (z *Element) Square(a *Element) *Element {
 	return z.Mul(a, a)
 }
@@ -461,12 +475,21 @@ func (z *Element) Sqrt(a *Element) bool {
 
 // SetBigInt assigns v mod p to z and returns z.
 func (z *Element) SetBigInt(v *big.Int) *Element {
-	vv := new(big.Int).Mod(v, modulus)
-	*z = Element{}
-	for i, w := range vv.Bits() {
-		z[i] = uint64(w)
-	}
+	*z = limbsFromBig(new(big.Int).Mod(v, modulus))
 	return z.toMont()
+}
+
+// limbsFromBig returns the little-endian 64-bit limbs of 0 ≤ x < 2^256.
+// It goes through bytes, not x.Bits(): a big.Word is 32 bits on 386, arm
+// and mips.
+func limbsFromBig(x *big.Int) Element {
+	var buf [32]byte
+	x.FillBytes(buf[:])
+	var e Element
+	for i := range e {
+		e[i] = binary.BigEndian.Uint64(buf[32-8*(i+1):])
+	}
+	return e
 }
 
 // BigInt returns the canonical value of z as a fresh big.Int.

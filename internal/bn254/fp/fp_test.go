@@ -293,12 +293,17 @@ type kernelEdge struct {
 
 // elementOf sets the limbs of an Element to the representation v directly,
 // so the kernels see exactly these words (no conversion through Mul).
-func elementOf(v *big.Int) Element {
-	var e Element
-	for i, w := range v.Bits() {
-		e[i] = uint64(w)
-	}
-	return e
+func elementOf(v *big.Int) Element { return limbsFromBig(v) }
+
+// mulKernels are the Montgomery kernels every Mul check runs: Mul, which is
+// the assembly kernel where the CPU has one, and the portable mulGeneric.
+// On a CPU without the assembly kernel both entries run mulGeneric.
+var mulKernels = []struct {
+	name string
+	mul  func(z, a, b *Element) *Element
+}{
+	{"Mul", (*Element).Mul},
+	{"mulGeneric", (*Element).mulGeneric},
 }
 
 // TestKernelEdgesVsBig checks every pair of kernelEdges through each kernel
@@ -307,11 +312,6 @@ func elementOf(v *big.Int) Element {
 // oracle never calls Mul, so a kernel bug cannot cancel out through the
 // Montgomery conversions.
 func TestKernelEdgesVsBig(t *testing.T) {
-	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), modulus)
-	mont := func(x, y *big.Int) *big.Int {
-		v := new(big.Int).Mul(x, y)
-		return ref(v.Mul(v, rInv))
-	}
 	check := func(t *testing.T, op string, got Element, want *big.Int) {
 		t.Helper()
 		if got != elementOf(want) {
@@ -323,26 +323,30 @@ func TestKernelEdgesVsBig(t *testing.T) {
 		a, ea := ea0.v, elementOf(ea0.v)
 		t.Run(ea0.name, func(t *testing.T) {
 			var z Element
-			check(t, "Square", *z.Square(&ea), mont(a, a))
+			check(t, "Square", *z.Square(&ea), montRef(a, a))
 			check(t, "Neg", *z.Neg(&ea), ref(new(big.Int).Neg(a)))
 			check(t, "Double", *z.Double(&ea), ref(new(big.Int).Lsh(a, 1)))
 
 			z = ea
-			check(t, "z.Mul(z, z)", *z.Mul(&z, &z), mont(a, a))
-			z = ea
 			check(t, "z.Add(z, z)", *z.Add(&z, &z), ref(new(big.Int).Lsh(a, 1)))
 			z = ea
 			check(t, "z.Sub(z, z)", *z.Sub(&z, &z), big.NewInt(0))
+			for _, k := range mulKernels {
+				z = ea
+				check(t, k.name+" z*=z", *k.mul(&z, &z, &z), montRef(a, a))
+			}
 
 			for _, eb0 := range edges {
 				nb, b, eb := eb0.name, eb0.v, elementOf(eb0.v)
-				check(t, "Mul "+nb, *z.Mul(&ea, &eb), mont(a, b))
 				check(t, "Add "+nb, *z.Add(&ea, &eb), ref(new(big.Int).Add(a, b)))
 				check(t, "Sub "+nb, *z.Sub(&ea, &eb), ref(new(big.Int).Sub(a, b)))
-				z = ea
-				check(t, "z.Mul(z, b) "+nb, *z.Mul(&z, &eb), mont(a, b))
-				z = eb
-				check(t, "z.Mul(a, z) "+nb, *z.Mul(&ea, &z), mont(a, b))
+				for _, k := range mulKernels {
+					check(t, k.name+" "+nb, *k.mul(&z, &ea, &eb), montRef(a, b))
+					z = ea
+					check(t, k.name+" z=a, z*=b "+nb, *k.mul(&z, &z, &eb), montRef(a, b))
+					z = eb
+					check(t, k.name+" z=b, z=a*z "+nb, *k.mul(&z, &ea, &z), montRef(a, b))
+				}
 				if got, want := z.AddUnreduced(&ea, &eb), new(big.Int).Add(a, b); *got != elementOf(want) {
 					t.Errorf("AddUnreduced %s = %x, want %x", nb, *got, elementOf(want))
 				}
@@ -357,13 +361,19 @@ func TestKernelEdgesVsBig(t *testing.T) {
 		for _, ex := range unreduced {
 			x, e := ex.v, elementOf(ex.v)
 			var z Element
-			check(t, "Square "+ex.name, *z.Square(&e), mont(x, x))
-			for _, ey := range append(unreduced, edges...) {
-				y, f := ey.v, elementOf(ey.v)
-				check(t, "Mul "+ex.name+" "+ey.name, *z.Mul(&e, &f), mont(x, y))
-				check(t, "Mul "+ey.name+" "+ex.name, *z.Mul(&f, &e), mont(x, y))
+			check(t, "Square "+ex.name, *z.Square(&e), montRef(x, x))
+			for _, k := range mulKernels {
 				z = e
-				check(t, "z.Mul(z, b) "+ex.name+" "+ey.name, *z.Mul(&z, &f), mont(x, y))
+				check(t, k.name+" z*=z "+ex.name, *k.mul(&z, &z, &z), montRef(x, x))
+				for _, ey := range append(unreduced, edges...) {
+					y, f := ey.v, elementOf(ey.v)
+					check(t, k.name+" "+ex.name+" "+ey.name, *k.mul(&z, &e, &f), montRef(x, y))
+					check(t, k.name+" "+ey.name+" "+ex.name, *k.mul(&z, &f, &e), montRef(x, y))
+					z = e
+					check(t, k.name+" z=a, z*=b "+ex.name+" "+ey.name, *k.mul(&z, &z, &f), montRef(x, y))
+					z = f
+					check(t, k.name+" z=b, z=a*z "+ex.name+" "+ey.name, *k.mul(&z, &e, &z), montRef(x, y))
+				}
 			}
 		}
 	})
@@ -415,6 +425,19 @@ func BenchmarkMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Mul(&x, &y)
+	}
+}
+
+// BenchmarkMulGeneric is BenchmarkMul on the portable Go kernel, so the
+// assembly kernel's gain is measured on the same host in the same run.
+func BenchmarkMulGeneric(b *testing.B) {
+	r := rand.New(rand.NewSource(20))
+	var x, y, z Element
+	x.SetBigInt(randBig(r))
+	y.SetBigInt(randBig(r))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.mulGeneric(&x, &y)
 	}
 }
 
