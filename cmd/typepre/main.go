@@ -16,7 +16,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"typepre/internal/core"
@@ -24,43 +26,57 @@ import (
 	"typepre/internal/ibe"
 )
 
+// errUsage reports a command line that names no known command. run has
+// already printed the usage for it.
+var errUsage = errors.New("usage")
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "setup":
-		err = cmdSetup(args)
-	case "extract":
-		err = cmdExtract(args)
-	case "encrypt":
-		err = cmdEncrypt(args)
-	case "decrypt":
-		err = cmdDecrypt(args)
-	case "rekey":
-		err = cmdRekey(args)
-	case "reencrypt":
-		err = cmdReencrypt(args)
-	case "redecrypt":
-		err = cmdRedecrypt(args)
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "typepre: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "typepre %s: %v\n", cmd, err)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "typepre %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: typepre <command> [flags]
+// run executes one command line (without the program name). Plaintexts
+// and progress lines go to stdout, the usage to stderr; a failed command
+// returns its error prefixed with the command name.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) < 1 {
+		usage(stderr)
+		return errUsage
+	}
+	commands := map[string]func([]string, io.Writer) error{
+		"setup":     cmdSetup,
+		"extract":   cmdExtract,
+		"encrypt":   cmdEncrypt,
+		"decrypt":   cmdDecrypt,
+		"rekey":     cmdRekey,
+		"reencrypt": cmdReencrypt,
+		"redecrypt": cmdRedecrypt,
+	}
+	cmd, args := args[0], args[1:]
+	if cmd == "help" || cmd == "-h" || cmd == "--help" {
+		usage(stderr)
+		return nil
+	}
+	f, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintf(stderr, "typepre: unknown command %q\n", cmd)
+		usage(stderr)
+		return errUsage
+	}
+	if err := f(args, stdout); err != nil {
+		return fmt.Errorf("%s: %w", cmd, err)
+	}
+	return nil
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: typepre <command> [flags]
 
 commands:
   setup      create a KGC (public params + master key files)
@@ -89,7 +105,7 @@ func flagMap(args []string, required ...string) (map[string]string, error) {
 	return m, nil
 }
 
-func cmdSetup(args []string) error {
+func cmdSetup(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "name", "out", "master")
 	if err != nil {
 		return err
@@ -106,11 +122,11 @@ func cmdSetup(args []string) error {
 	if err := os.WriteFile(f["master"], kgc.MarshalMaster(), 0o600); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (public) and %s (secret)\n", f["out"], f["master"])
+	fmt.Fprintf(stdout, "wrote %s (public) and %s (secret)\n", f["out"], f["master"])
 	return nil
 }
 
-func cmdExtract(args []string) error {
+func cmdExtract(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "master", "id", "out")
 	if err != nil {
 		return err
@@ -127,7 +143,7 @@ func cmdExtract(args []string) error {
 	if err := os.WriteFile(f["out"], key.Marshal(), 0o600); err != nil {
 		return err
 	}
-	fmt.Printf("extracted key for %s → %s\n", f["id"], f["out"])
+	fmt.Fprintf(stdout, "extracted key for %s → %s\n", f["id"], f["out"])
 	return nil
 }
 
@@ -151,7 +167,7 @@ func loadDelegator(paramsPath, keyPath string) (*core.Delegator, error) {
 	return core.NewDelegator(key), nil
 }
 
-func cmdEncrypt(args []string) error {
+func cmdEncrypt(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "params", "key", "type", "in", "out")
 	if err != nil {
 		return err
@@ -171,11 +187,11 @@ func cmdEncrypt(args []string) error {
 	if err := os.WriteFile(f["out"], ct.Marshal(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sealed %d bytes under type %q → %s\n", len(msg), f["type"], f["out"])
+	fmt.Fprintf(stdout, "sealed %d bytes under type %q → %s\n", len(msg), f["type"], f["out"])
 	return nil
 }
 
-func cmdDecrypt(args []string) error {
+func cmdDecrypt(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "params", "key", "in")
 	if err != nil {
 		return err
@@ -199,11 +215,11 @@ func cmdDecrypt(args []string) error {
 	if out := f["out"]; out != "" {
 		return os.WriteFile(out, msg, 0o644)
 	}
-	_, err = os.Stdout.Write(msg)
+	_, err = stdout.Write(msg)
 	return err
 }
 
-func cmdRekey(args []string) error {
+func cmdRekey(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "params", "key", "to-params", "to", "type", "out")
 	if err != nil {
 		return err
@@ -227,11 +243,11 @@ func cmdRekey(args []string) error {
 	if err := os.WriteFile(f["out"], rk.Marshal(), 0o600); err != nil {
 		return err
 	}
-	fmt.Printf("rekey %s:%s → %s written to %s\n", d.ID(), f["type"], f["to"], f["out"])
+	fmt.Fprintf(stdout, "rekey %s:%s → %s written to %s\n", d.ID(), f["type"], f["to"], f["out"])
 	return nil
 }
 
-func cmdReencrypt(args []string) error {
+func cmdReencrypt(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "in", "rekey", "out")
 	if err != nil {
 		return err
@@ -259,11 +275,11 @@ func cmdReencrypt(args []string) error {
 	if err := os.WriteFile(f["out"], rct.Marshal(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("re-encrypted for %s → %s\n", rk.DelegateeID, f["out"])
+	fmt.Fprintf(stdout, "re-encrypted for %s → %s\n", rk.DelegateeID, f["out"])
 	return nil
 }
 
-func cmdRedecrypt(args []string) error {
+func cmdRedecrypt(args []string, stdout io.Writer) error {
 	f, err := flagMap(args, "params", "key", "in")
 	if err != nil {
 		return err
@@ -299,6 +315,6 @@ func cmdRedecrypt(args []string) error {
 	if out := f["out"]; out != "" {
 		return os.WriteFile(out, msg, 0o644)
 	}
-	_, err = os.Stdout.Write(msg)
+	_, err = stdout.Write(msg)
 	return err
 }

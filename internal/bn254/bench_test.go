@@ -26,6 +26,36 @@ func BenchmarkFp2Mul(b *testing.B) {
 	}
 }
 
+func BenchmarkFp2Square(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x := randFp2(r)
+	var out fp2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Square(x)
+	}
+}
+
+func BenchmarkFp2Add(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x, y := randFp2(r), randFp2(r)
+	var out fp2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Add(x, y)
+	}
+}
+
+func BenchmarkMulByXi(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x := randFp2(r)
+	var out fp2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mulByXi(&out, x)
+	}
+}
+
 func BenchmarkFp2Inverse(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	x := randFp2(r)

@@ -19,7 +19,9 @@
 // version of the same CIOS (mul_amd64.s: MULX with the two carry chains of
 // ADCX/ADOX, a CMOV final subtraction); everywhere else, and as the test
 // oracle, it runs the Go kernel mulGeneric. The CPU alone picks the kernel
-// once at init; there is no flag, build tag or environment switch.
+// once at init; there is no flag, build tag or environment switch. The
+// fused Fp2 kernels of package bn254 (fp2_amd64.s) expand the same
+// assembly product from mont_amd64.h.
 //
 // Unreduced operands: every Element is canonical (< p) except the output
 // of AddUnreduced, which is a + b in [0, 2p) with no final subtraction.
@@ -36,9 +38,10 @@
 // perform an input-independent sequence of word operations (Inverse and
 // Sqrt are fixed-window exponentiations by the public constant exponents
 // p−2 and (p+1)/4). The ADX Mul kernel keeps the contract: a fixed
-// instruction sequence with no branch and no table lookup, ending in a
-// CMOV, not a jump. Conversion to/from big.Int and String are NOT
-// constant time and must only see public values.
+// instruction sequence with no table lookup, ending in a CMOV, not a jump;
+// its one branch tests useADX, which depends only on the CPU. Conversion
+// to/from big.Int and String are NOT constant time and must only see
+// public values.
 //
 // All hard-coded constants are re-derived from the decimal modulus at
 // package init and cross-checked; a mismatch panics, so a transcribed
@@ -304,15 +307,13 @@ func madd2(a, b, c, d uint64) (uint64, uint64) {
 
 // Mul sets z = a·b (Montgomery product a·b·R⁻¹ mod p) and returns z.
 // Aliasing of z with a or b is allowed. It runs the ADX assembly kernel
-// when the CPU has one (see useADX) and mulGeneric otherwise; both honour
-// the same contract: operands below 2p, any aliasing, constant time, no
-// allocation, and the same canonical result.
+// when the CPU has one (mul_amd64.s tests useADX itself, so Mul inlines)
+// and mulGeneric otherwise; both honour the same contract: operands below
+// 2p, any aliasing, constant time, no allocation, and the same canonical
+// result.
 func (z *Element) Mul(a, b *Element) *Element {
-	if useADX {
-		mulADX(z, a, b)
-		return z
-	}
-	return z.mulGeneric(a, b)
+	mul(z, a, b)
+	return z
 }
 
 // mulGeneric is the portable Go Montgomery kernel behind Mul.
@@ -326,7 +327,7 @@ func (z *Element) Mul(a, b *Element) *Element {
 // out of it. The result is < 2p; one masked subtraction canonicalizes it.
 // The same holds for operands below 2p, such as AddUnreduced outputs,
 // because 4p < 2^256 (checked at init; see the package doc).
-func (z *Element) mulGeneric(a, b *Element) *Element {
+func mulGeneric(z, a, b *Element) {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 	var t0, t1, t2, t3, A, C, m uint64
 
@@ -393,7 +394,6 @@ func (z *Element) mulGeneric(a, b *Element) *Element {
 	z[1] = t1 ^ (mask & (t1 ^ s1))
 	z[2] = t2 ^ (mask & (t2 ^ s2))
 	z[3] = t3 ^ (mask & (t3 ^ s3))
-	return z
 }
 
 // Square sets z = a² and returns z. It is Mul(a, a), so it runs whichever

@@ -2,7 +2,8 @@ package fp
 
 // useADX selects the assembly Mul kernel. MULX is a BMI2 instruction and
 // ADCX/ADOX are ADX; neither needs OS support (they touch no extended
-// register state), so the CPUID feature bits alone decide.
+// register state), so the CPUID feature bits alone decide. The kernels
+// read it themselves: mul_amd64.s here, fp2_amd64.s in package bn254.
 var useADX = hasADXAndBMI2()
 
 // hasADXAndBMI2 reads CPUID leaf 7, sub-leaf 0: BMI2 is EBX bit 8, ADX is
@@ -20,8 +21,8 @@ func hasADXAndBMI2() bool {
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
-// mulADX sets z = a·b·R⁻¹ mod p with the contract of mulGeneric. It
-// requires ADX and BMI2.
+// mul sets z = a·b·R⁻¹ mod p with the contract of mulGeneric: the ADX
+// kernel where useADX is set, else a jump to mulGeneric.
 //
 //go:noescape
-func mulADX(z, a, b *Element)
+func mul(z, a, b *Element)

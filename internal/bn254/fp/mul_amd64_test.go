@@ -1,6 +1,8 @@
 package fp
 
 import (
+	"math/big"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -34,4 +36,22 @@ func TestADXKernelSelected(t *testing.T) {
 		return
 	}
 	t.Skip("/proc/cpuinfo has no flags line")
+}
+
+// TestMulWithoutADX runs Mul with useADX cleared, as on an amd64 CPU
+// without ADX or BMI2, where the assembly entry jumps to mulGeneric with
+// the arguments in place.
+func TestMulWithoutADX(t *testing.T) {
+	defer func(saved bool) { useADX = saved }(useADX)
+	useADX = false
+	r := rand.New(rand.NewSource(12))
+	twoP := new(big.Int).Lsh(modulus, 1)
+	for i := 0; i < 1000; i++ {
+		a, b := elementOf(new(big.Int).Rand(r, twoP)), elementOf(new(big.Int).Rand(r, twoP))
+		var want Element
+		mulGeneric(&want, &a, &b)
+		if got := a; *got.Mul(&got, &b) != want {
+			t.Fatalf("z=a, z.Mul(z, b) (%x, %x) = %x, mulGeneric %x", a, b, got, want)
+		}
+	}
 }

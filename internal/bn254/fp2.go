@@ -60,34 +60,73 @@ func (e *fp2) Equal(a *fp2) bool {
 
 // Add sets e = a + b and returns e.
 func (e *fp2) Add(a, b *fp2) *fp2 {
-	e.c0.Add(&a.c0, &b.c0)
-	e.c1.Add(&a.c1, &b.c1)
+	fp2Add(e, a, b)
 	return e
 }
 
 // Sub sets e = a - b and returns e.
 func (e *fp2) Sub(a, b *fp2) *fp2 {
-	e.c0.Sub(&a.c0, &b.c0)
-	e.c1.Sub(&a.c1, &b.c1)
+	fp2Sub(e, a, b)
 	return e
 }
 
 // Neg sets e = -a and returns e.
 func (e *fp2) Neg(a *fp2) *fp2 {
-	e.c0.Neg(&a.c0)
-	e.c1.Neg(&a.c1)
+	fp2Neg(e, a)
 	return e
 }
 
 // Double sets e = 2a and returns e.
 func (e *fp2) Double(a *fp2) *fp2 {
-	e.c0.Double(&a.c0)
-	e.c1.Double(&a.c1)
+	fp2Double(e, a)
 	return e
 }
 
 // Mul sets e = a·b and returns e. Aliasing of e with a or b is allowed.
 func (e *fp2) Mul(a, b *fp2) *fp2 {
+	fp2Mul(e, a, b)
+	return e
+}
+
+// MulScalar sets e = a·s where s is a base-field scalar, and returns e.
+func (e *fp2) MulScalar(a *fp2, s *fp.Element) *fp2 {
+	e.c0.Mul(&a.c0, s)
+	e.c1.Mul(&a.c1, s)
+	return e
+}
+
+// Square sets e = a² and returns e.
+func (e *fp2) Square(a *fp2) *fp2 {
+	fp2Square(e, a)
+	return e
+}
+
+// The Go bodies of the Fp2 kernels: the portable path (fp2_other.go), the
+// fallback of the amd64 Mul and Square without ADX, and the oracle of the
+// fused amd64 kernels (fp2_amd64.s), which must agree with them word for
+// word.
+
+func fp2AddGeneric(e, a, b *fp2) {
+	e.c0.Add(&a.c0, &b.c0)
+	e.c1.Add(&a.c1, &b.c1)
+}
+
+func fp2SubGeneric(e, a, b *fp2) {
+	e.c0.Sub(&a.c0, &b.c0)
+	e.c1.Sub(&a.c1, &b.c1)
+}
+
+func fp2NegGeneric(e, a *fp2) {
+	e.c0.Neg(&a.c0)
+	e.c1.Neg(&a.c1)
+}
+
+func fp2DoubleGeneric(e, a *fp2) {
+	e.c0.Double(&a.c0)
+	e.c1.Double(&a.c1)
+}
+
+func fp2MulGeneric(e, a, b *fp2) {
 	// Karatsuba over i² = −1: with v0 = a0b0 and v1 = a1b1,
 	//   c0 = v0 − v1
 	//   c1 = (a0+a1)(b0+b1) − v0 − v1
@@ -103,18 +142,9 @@ func (e *fp2) Mul(a, b *fp2) *fp2 {
 	e.c0.Sub(&v0, &v1)
 	s.Sub(&s, &v0)
 	e.c1.Sub(&s, &v1)
-	return e
 }
 
-// MulScalar sets e = a·s where s is a base-field scalar, and returns e.
-func (e *fp2) MulScalar(a *fp2, s *fp.Element) *fp2 {
-	e.c0.Mul(&a.c0, s)
-	e.c1.Mul(&a.c1, s)
-	return e
-}
-
-// Square sets e = a² and returns e.
-func (e *fp2) Square(a *fp2) *fp2 {
+func fp2SquareGeneric(e, a *fp2) {
 	// (a0 + a1·i)² = (a0−a1)(a0+a1) + 2a0a1·i — two multiplications;
 	// a0+a1 stays unreduced, as in Mul.
 	var t0, t1, m fp.Element
@@ -123,7 +153,6 @@ func (e *fp2) Square(a *fp2) *fp2 {
 	m.Mul(&a.c0, &a.c1)
 	e.c0.Mul(&t0, &t1)
 	e.c1.Double(&m)
-	return e
 }
 
 // Conjugate sets e = conj(a) = a0 - a1·i (the p-power Frobenius on Fp2)

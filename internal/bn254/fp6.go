@@ -83,8 +83,9 @@ func (e *fp6) Neg(a *fp6) *fp6 {
 	return e
 }
 
-// mulByXi sets e = a·ξ for a ∈ Fp2 viewed in Fp6, in place helper on fp2.
-func mulByXi(e, a *fp2) *fp2 {
+// mulByXiGeneric sets e = a·ξ for a ∈ Fp2 viewed in Fp6: the Go body of
+// mulByXi (fp2_amd64.go, fp2_other.go) and the oracle of its amd64 kernel.
+func mulByXiGeneric(e, a *fp2) {
 	// (c0 + c1·i)(9 + i) = (9c0 - c1) + (9c1 + c0)·i
 	var t0, t1 fp.Element
 	t0.Double(&a.c0)
@@ -99,7 +100,6 @@ func mulByXi(e, a *fp2) *fp2 {
 	t1.Add(&t1, &a.c0)
 	e.c0.Set(&t0)
 	e.c1.Set(&t1)
-	return e
 }
 
 // Mul sets e = a·b and returns e. Aliasing is allowed.
