@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"typepre/internal/analysis"
@@ -27,33 +29,47 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the registered passes and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: phrlint [-list] [packages]\n\nPasses:\n")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints one command line (without the program name) and returns the
+// exit status: 0 clean, 1 on any diagnostic, 2 when the command line or
+// the packages fail to load.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("phrlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the registered passes and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: phrlint [-list] [packages]\n\nPasses:\n")
 		for _, a := range passes.All() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	suite := passes.All()
 	if *list {
 		for _, a := range suite {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	targets, all, err := analysis.LoadPackages(".", patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "phrlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "phrlint:", err)
+		return 2
 	}
 
 	ann, malformed := analysis.HarvestAnnotations(all)
@@ -62,17 +78,18 @@ func main() {
 	for _, pkg := range targets {
 		d, err := analysis.RunPackage(pkg, ann, suite)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "phrlint:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "phrlint:", err)
+			return 2
 		}
 		diags = append(diags, d...)
 	}
 
 	for _, d := range diags {
-		fmt.Printf("%s\n", d)
+		fmt.Fprintf(stdout, "%s\n", d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "phrlint: %d finding(s) across %d package(s)\n", len(diags), len(targets))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "phrlint: %d finding(s) across %d package(s)\n", len(diags), len(targets))
+		return 1
 	}
+	return 0
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -56,17 +55,4 @@ func SplitType(t Type) (Type, int) {
 func BaseType(t Type) Type {
 	base, _ := SplitType(t)
 	return base
-}
-
-// Rotate re-encrypts one of the delegator's own first-level ciphertexts
-// under a new type — the delegator-side primitive behind category key
-// rotation. Only the owner can do this: the transformation goes through a
-// full decrypt, so a proxy key never suffices to move a ciphertext between
-// types (that would defeat the fine-grained delegation the scheme is for).
-func (d *Delegator) Rotate(ct *Ciphertext, newType Type, rng io.Reader) (*Ciphertext, error) {
-	m, err := d.Decrypt(ct)
-	if err != nil {
-		return nil, fmt.Errorf("core: rotate: %w", err)
-	}
-	return d.Encrypt(m, newType, rng)
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-	"testing"
-
-	"typepre/internal/ibe"
-)
+import "testing"
 
 func TestVersionedTypeRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -38,69 +33,5 @@ func TestSplitTypeRejectsNonCanonicalSuffixes(t *testing.T) {
 		if base != s || epoch != 0 {
 			t.Fatalf("SplitType(%q) = (%q, %d), want (%q, 0)", s, base, epoch, s)
 		}
-	}
-}
-
-func TestRotateMovesCiphertextBetweenEpochs(t *testing.T) {
-	kgc1, err := ibe.Setup("rot-kgc1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kgc2, err := ibe.Setup("rot-kgc2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice := NewDelegator(kgc1.Extract("alice@rotate"))
-	bobKey := kgc2.Extract("bob@rotate")
-
-	m, err := randomGTForFuzz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldType := VersionedType("medication", 0)
-	newType := VersionedType("medication", 1)
-	ct, err := alice.Encrypt(m, oldType, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRK, err := alice.Delegate(kgc2.Params(), bobKey.ID, oldType, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rotated, err := alice.Rotate(ct, newType, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rotated.Type != newType {
-		t.Fatalf("rotated type = %q, want %q", rotated.Type, newType)
-	}
-	// The owner still opens the rotated ciphertext.
-	got, err := alice.Decrypt(rotated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("owner cannot open rotated ciphertext")
-	}
-	// The pre-rotation proxy key no longer transforms it.
-	if _, err := ReEncrypt(rotated, oldRK); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("stale rekey on rotated ciphertext: want ErrTypeMismatch, got %v", err)
-	}
-	// A fresh epoch-1 delegation restores disclosure.
-	newRK, err := alice.Delegate(kgc2.Params(), bobKey.ID, newType, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rct, err := ReEncrypt(rotated, newRK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, err := DecryptReEncrypted(bobKey, rct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !opened.Equal(m) {
-		t.Fatal("fresh rekey does not open rotated ciphertext")
 	}
 }

@@ -193,9 +193,9 @@ func Reseal(d *core.Delegator, ct *Ciphertext, newType core.Type, rng io.Reader)
 }
 
 // OpenWithKEMKey unseals a hybrid ciphertext given an explicitly recovered
-// KEM key. Exposed for the compromise experiments (E6/E8), which model an
-// attacker who obtained the KEM key through collusion rather than through
-// a legitimate decryption path.
+// KEM key: the path of an attacker who obtained the KEM key through
+// collusion rather than through a legitimate decryption. The PHR
+// blast-radius test opens records this way with recovered type keys.
 func OpenWithKEMKey(k *bn254.GT, ct *Ciphertext) ([]byte, error) {
 	if k == nil || ct == nil || ct.KEM == nil {
 		return nil, ErrDecrypt

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"typepre/internal/core"
@@ -251,5 +252,60 @@ func TestOpenWithKEMKey(t *testing.T) {
 	}
 	if _, err := OpenWithKEMKey(nil, ct); err == nil {
 		t.Fatal("nil key accepted")
+	}
+}
+
+// TestResealMovesCiphertextBetweenEpochs drives the owner-side primitive
+// behind category key rotation: a record resealed under the next epoch's
+// wire type still opens for the owner, is out of reach of every proxy key
+// extracted for the old epoch, and opens again through a fresh delegation.
+func TestResealMovesCiphertextBetweenEpochs(t *testing.T) {
+	f := newFixture(t)
+	msg := []byte("medication: metformin 500mg twice daily")
+	oldType := core.VersionedType("medication", 0)
+	newType := core.VersionedType("medication", 1)
+	ct, err := Encrypt(f.alice, msg, oldType, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRK, err := f.alice.Delegate(f.kgc2.Params(), f.bobKey.ID, oldType, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resealed, err := Reseal(f.alice, ct, newType, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resealed.KEM.Type != newType {
+		t.Fatalf("resealed type = %q, want %q", resealed.KEM.Type, newType)
+	}
+	// The owner still opens the resealed ciphertext.
+	got, err := Decrypt(f.alice, resealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("owner cannot open resealed ciphertext")
+	}
+	// The pre-rotation proxy key no longer transforms it.
+	if _, err := ReEncrypt(resealed, oldRK); !errors.Is(err, core.ErrTypeMismatch) {
+		t.Fatalf("stale rekey on resealed ciphertext: want ErrTypeMismatch, got %v", err)
+	}
+	// A fresh epoch-1 delegation restores disclosure.
+	newRK, err := f.alice.Delegate(f.kgc2.Params(), f.bobKey.ID, newType, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rct, err := ReEncrypt(resealed, newRK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := DecryptReEncrypted(f.bobKey, rct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(opened, msg) {
+		t.Fatal("fresh rekey does not open resealed ciphertext")
 	}
 }

@@ -141,10 +141,6 @@ func (l *AuditLog) TailJSON(n int) []byte {
 	return arena[offs[0]:]
 }
 
-// JSONBody returns the JSON array body of every entry; see TailJSON. The
-// error is always nil: entries are encoded when they are appended.
-func (l *AuditLog) JSONBody() ([]byte, error) { return l.TailJSON(0), nil }
-
 // Tail returns the last n entries in append order, decoded from the log;
 // n <= 0 or n >= Len returns everything.
 func (l *AuditLog) Tail(n int) []AuditEntry {

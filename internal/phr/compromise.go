@@ -1,9 +1,6 @@
 package phr
 
-import (
-	"typepre/internal/core"
-	"typepre/internal/hybrid"
-)
+import "typepre/internal/core"
 
 // This file implements the E6 blast-radius experiment: what fraction of
 // stored records does an attacker expose by corrupting proxies (and
@@ -44,8 +41,8 @@ func (r *ExposureReport) Fraction() float64 {
 // corrupting the given proxies AND colluding with every requester that has
 // a grant on them. Exposure is structural: a record is exposed iff some
 // corrupted proxy holds a grant for its (patient, category) pair —
-// precisely what the recovered type keys open (Theorem 1; verified
-// cryptographically by VerifyTypePREBreach and the tests).
+// precisely what the recovered type keys open (Theorem 1; the blast-radius
+// test verifies it cryptographically).
 func SimulateTypePREBreach(store Backend, corrupted []*Proxy) *ExposureReport {
 	// Keyed by the *sealed* wire type (category + rotation epoch), not the
 	// logical category: a rekey for an old epoch opens nothing that has
@@ -96,68 +93,4 @@ func exposureFrom(store Backend, exposed func(*EncryptedRecord) bool) *ExposureR
 		}
 	}
 	return rep
-}
-
-// VerifyTypePREBreach cryptographically validates the structural simulation
-// on a workload: for every record the simulation marks exposed, the
-// attacker (holding the corrupted proxies' rekeys and the colluding
-// requesters' keys) actually recovers a working type key and could decrypt;
-// for a sample of non-exposed records, recovered keys do NOT open them.
-// Returns (exposedVerified, isolatedVerified).
-func VerifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
-	// Recover all type keys available to the attacker, keyed by the sealed
-	// wire type they open (category at a specific rotation epoch).
-	typeKeys := map[sealedPair]*core.TypeKey{}
-	for _, p := range corrupted {
-		for _, rk := range p.CompromisedGrants() {
-			requesterKey, ok := w.Requesters[rk.DelegateeID]
-			if !ok {
-				continue
-			}
-			tk, err := core.RecoverTypeKey(rk, requesterKey)
-			if err != nil {
-				return false, false
-			}
-			typeKeys[sealedPair{rk.DelegatorID, rk.Type}] = tk
-		}
-	}
-
-	exposedOK := true
-	isolatedOK := true
-	for _, rec := range w.Records {
-		key := sealedPair{rec.PatientID, rec.Sealed.KEM.Type}
-		tk, exposed := typeKeys[key]
-		if exposed {
-			// The attacker opens the KEM with the type key and unseals.
-			if !attackerCanOpen(tk, rec, w.Bodies[rec.ID]) {
-				exposedOK = false
-			}
-			continue
-		}
-		// Try every recovered key of the same patient: none may work.
-		for pc, wrongTk := range typeKeys {
-			if pc.patient != rec.PatientID {
-				continue
-			}
-			if attackerCanOpen(wrongTk, rec, w.Bodies[rec.ID]) {
-				isolatedOK = false
-			}
-		}
-	}
-	return exposedOK, isolatedOK
-}
-
-// attackerCanOpen checks whether a recovered type key opens a sealed
-// record: it decrypts the KEM with the type key, derives the DEM key and
-// compares the unsealed body.
-func attackerCanOpen(tk *core.TypeKey, rec *EncryptedRecord, want []byte) bool {
-	k, err := core.DecryptWithTypeKey(tk, rec.Sealed.KEM)
-	if err != nil {
-		return false
-	}
-	body, err := hybrid.OpenWithKEMKey(k, rec.Sealed)
-	if err != nil {
-		return false
-	}
-	return string(body) == string(want)
 }

@@ -394,11 +394,7 @@ func TestAuditJSONBodyMatchesMarshal(t *testing.T) {
 	log := NewAuditLog()
 	check := func() {
 		t.Helper()
-		body, err := log.JSONBody()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append(append([]byte{'['}, body...), ']')
+		got := append(append([]byte{'['}, log.TailJSON(0)...), ']')
 		want, err := json.Marshal(log.Entries())
 		if err != nil {
 			t.Fatal(err)

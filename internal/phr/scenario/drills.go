@@ -543,12 +543,12 @@ func BreakGlassDrill(seed int64) (*Drill, error) {
 	}, nil
 }
 
-// FederationChurnDrill: cross-KGC delegation (the examples/multidomain
-// story at workload scale — a third domain's params cross the wire
-// serialized) under grant/revoke churn with concurrent disclosures. The
-// churned pair flaps between granted and denied; a steady grant from
-// another domain must never be disturbed. Run race-clean under
-// `go test -race`.
+// FederationChurnDrill: cross-KGC delegation (the root package's
+// Example_multidomain story at workload scale — a third domain's params
+// cross the wire serialized) under grant/revoke churn with concurrent
+// disclosures. The churned pair flaps between granted and denied; a
+// steady grant from another domain must never be disturbed. Run
+// race-clean under `go test -race`.
 func FederationChurnDrill(seed int64) (*Drill, error) {
 	// Small but real: every combination of {writer flap, racing reader,
 	// steady reader} still interleaves, and the whole drill stays cheap
@@ -569,7 +569,7 @@ func FederationChurnDrill(seed int64) (*Drill, error) {
 	}
 
 	// Domain 3: an unrelated KGC whose params reach the patients only in
-	// serialized form, as in examples/multidomain.
+	// serialized form, as in the root package's Example_multidomain.
 	kgc3, err := ibe.Setup("phr-kgc3", nil)
 	if err != nil {
 		return nil, err

@@ -6,9 +6,9 @@
 // — not one-shot encrypt/decrypt. Each drill here runs a named, multi-step
 // operational scenario over a live Service+Store+proxies and checks
 // machine-verified invariants after every step, producing a structured
-// Report. The drills run as ordinary `go test` cases (and under -race) and
-// via `phrdemo -drills`, so every future refactor of the crypto stack is
-// pinned against these stories.
+// Report. The drills run as ordinary `go test` cases (and under -race), so
+// every future refactor of the crypto stack is pinned against these
+// stories.
 package scenario
 
 import (
@@ -156,19 +156,4 @@ func Drills() []Constructor {
 		{"break-glass", BreakGlassDrill},
 		{"federation-churn", FederationChurnDrill},
 	}
-}
-
-// RunAll constructs and runs every shipped drill with the given seed. A
-// constructor error aborts the suite — a drill that cannot even set up is
-// a failure, not a skip.
-func RunAll(seed int64) ([]*Report, error) {
-	var reports []*Report
-	for _, c := range Drills() {
-		d, err := c.New(seed)
-		if err != nil {
-			return reports, fmt.Errorf("scenario: building %s: %w", c.Name, err)
-		}
-		reports = append(reports, Run(d))
-	}
-	return reports, nil
 }

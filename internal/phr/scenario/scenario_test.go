@@ -9,12 +9,28 @@ import (
 // TestDrills runs every shipped drill as an ordinary test case, so the
 // lifecycle stories gate CI (including under -race: the federation-churn
 // drill is deliberately concurrent). A drill that fails prints its full
-// report — steps, violated invariants, skips — not just a boolean.
+// report — steps, violated invariants, skips — not just a boolean, and
+// -v logs the report of a passing one.
 func TestDrills(t *testing.T) {
+	runDrills(t, 1)
+}
+
+// TestRunAll reruns every drill at seed 2, another generated workload,
+// so -short skips it (TestDrills already covers each drill at seed 1).
+func TestRunAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite rerun; TestDrills covers each drill")
+	}
+	runDrills(t, 2)
+}
+
+// runDrills runs every drill at seed as a parallel subtest named after
+// the drill.
+func runDrills(t *testing.T, seed int64) {
 	for _, c := range Drills() {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			d, err := c.New(1)
+			d, err := c.New(seed)
 			if err != nil {
 				t.Fatalf("constructing drill: %v", err)
 			}
@@ -30,28 +46,8 @@ func TestDrills(t *testing.T) {
 					t.Fatalf("step %s skipped in a passing run", sr.Step)
 				}
 			}
+			t.Logf("\n%s", rep)
 		})
-	}
-}
-
-// TestRunAll exercises the suite entry point phrdemo -drills uses. It
-// reruns every drill, so -short skips it (TestDrills already covers each
-// one individually).
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite rerun; TestDrills covers each drill")
-	}
-	reports, err := RunAll(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(Drills()) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(Drills()))
-	}
-	for _, r := range reports {
-		if !r.Passed() {
-			t.Errorf("drill failed:\n%s", r)
-		}
 	}
 }
 
