@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -22,8 +23,10 @@ func serveDisk(t *testing.T, dir string) (*httptest.Server, *diskstore.Store) {
 }
 
 // TestCrashDrill runs the drill in process: load a disk-backed server,
-// note its record count, reopen the store on the same directory behind a
-// new server, and spotcheck it.
+// note its record count, copy its directory while the store is still
+// open, as a kill leaves it, and spotcheck a new server on the copy.
+// Reopening the copy rather than the closed store keeps Close's final
+// sync from hiding an acknowledged write that never reached the file.
 func TestCrashDrill(t *testing.T) {
 	dir := t.TempDir()
 	ts, store := serveDisk(t, dir)
@@ -35,11 +38,15 @@ func TestCrashDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.Close()
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	ts, store = serveDisk(t, dir)
+	ts, store = serveDisk(t, crashed)
 	defer store.Close()
 	defer ts.Close()
 	if err := runSpotcheck(ts.URL, sm.StoreRecords); err != nil {

@@ -78,8 +78,8 @@ func NewAuditLog() *AuditLog { return &AuditLog{now: time.Now} }
 // caller set is overwritten. The stamp is taken under the same lock as the
 // sequence number and is clamped to be no earlier than the previous one,
 // so Seq order and Time order can never contradict each other — the
-// "strictly ordered per proxy" invariant the drills check — even across a
-// wall-clock step back.
+// "strictly ordered per proxy" invariant the lifecycle tests check — even
+// across a wall-clock step back.
 func (l *AuditLog) Append(e AuditEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -24,8 +24,8 @@ var ErrStorage = errors.New("phr: storage failure")
 // Methods that carry record payloads (Put, Replace, Get, Delete and the
 // two List methods) return errors: a durable backend reads sealed bodies
 // from disk and must be able to report failure. The index-only queries
-// (Count, CountByPatient, Patients, Categories) are served from memory in
-// every implementation and cannot fail.
+// (Count, Patients, Categories) are served from memory in every
+// implementation and cannot fail.
 //
 // All methods must be safe for concurrent use. Returned records are
 // private copies: callers may mutate them freely, and implementations
@@ -50,8 +50,6 @@ type Backend interface {
 	ListByPatientCategory(patientID string, c Category) ([]*EncryptedRecord, error)
 	// Count returns the total number of records.
 	Count() int
-	// CountByPatient returns the number of records of one patient.
-	CountByPatient(patientID string) int
 	// Patients returns the sorted patient IDs with at least one record.
 	Patients() []string
 	// Categories returns the sorted distinct categories of a patient.

@@ -170,8 +170,8 @@ func TestBackendInsertionOrderAfterDelete(t *testing.T) {
 				t.Fatalf("order = %v, want %v", tc.got, tc.want)
 			}
 		}
-		if n := b.CountByPatient("alice"); n != 5 {
-			t.Fatalf("CountByPatient = %d, want 5", n)
+		if recs, err := b.ListByPatient("alice"); err != nil || len(recs) != 5 {
+			t.Fatalf("ListByPatient = %d records (err %v), want 5", len(recs), err)
 		}
 	})
 }

@@ -621,13 +621,6 @@ func (s *Store) Count() int {
 	return len(s.index)
 }
 
-// CountByPatient returns the number of records of one patient.
-func (s *Store) CountByPatient(patientID string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.records.CountByPatient(patientID)
-}
-
 // Patients returns the sorted patient IDs with at least one record.
 func (s *Store) Patients() []string {
 	s.mu.RLock()

@@ -141,8 +141,8 @@ func TestCRUDRoundTripAcrossReopen(t *testing.T) {
 	if cs := s2.Categories("alice"); len(cs) != 2 {
 		t.Fatalf("Categories = %v", cs)
 	}
-	if n := s2.CountByPatient("bob"); n != 1 {
-		t.Fatalf("CountByPatient(bob) = %d", n)
+	if recs, err := s2.ListByPatient("bob"); err != nil || len(recs) != 1 {
+		t.Fatalf("ListByPatient(bob) = %d records (err %v)", len(recs), err)
 	}
 	st := s2.Recovery()
 	if st.Records != 3 || st.TruncatedBytes != 0 {

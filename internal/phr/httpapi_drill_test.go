@@ -16,10 +16,10 @@ import (
 	"typepre/internal/hybrid"
 )
 
-// HTTP-layer lifecycle drills: the PR-6 scenario stories — revocation, key
-// rotation, break-glass — driven through phrserver handlers and phr.Client
-// so the wire protocol (status mapping, framing, audit visibility) is
-// pinned against the same invariants the in-process drills check.
+// HTTP-level lifecycle tests: the revocation, key-rotation and
+// break-glass stories of lifecycle_test.go, driven through phrserver
+// handlers and phr.Client so the wire protocol (status mapping, framing,
+// audit visibility) is pinned against the same invariants.
 
 // TestHTTPRevocationDrill runs the revocation story over the wire: grant,
 // disclose on every endpoint, revoke via the API, then watch every

@@ -77,9 +77,6 @@ func (x *RecordIndex) IDsIn(patientID string, c Category) []string {
 	return nil
 }
 
-// CountByPatient returns the number of records of one patient.
-func (x *RecordIndex) CountByPatient(patientID string) int { return len(x.IDs(patientID)) }
-
 // Patients returns the sorted patient IDs with at least one record.
 func (x *RecordIndex) Patients() []string {
 	out := make([]string, 0, len(x.patients))

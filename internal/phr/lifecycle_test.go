@@ -8,36 +8,77 @@ import (
 
 	"typepre/internal/core"
 	"typepre/internal/hybrid"
+	"typepre/internal/ibe"
 )
 
-// Lifecycle regression tests: revocation vs the prepared-grant cache,
-// category key rotation, and break-glass. The scenario package runs the
-// same stories end to end as multi-step drills; these pin the individual
-// mechanisms at unit granularity.
+// Lifecycle tests at the Service level: revocation vs the prepared-grant
+// cache and in-flight streams, category key rotation, and break-glass.
+// httpapi_drill_test.go tells the same stories over HTTP, and
+// federation_test.go runs cross-KGC grant churn under concurrent readers.
+// Each story ends by checking that the proxy's audit log is gapless.
+
+// sameBodies reports whether a category read returned want, in
+// insertion order. It returns an error rather than failing the test so
+// that goroutines can call it.
+func sameBodies(got, want [][]byte) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("disclosed %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			return fmt.Errorf("record %d: plaintext mismatch", i)
+		}
+	}
+	return nil
+}
+
+// assertBodies checks that requester's read of Alice's category c
+// returns want, in insertion order.
+func assertBodies(t *testing.T, s *scenario, c Category, requester *ibe.PrivateKey, want [][]byte) {
+	t.Helper()
+	got, err := s.svc.ReadCategory(s.alice.ID(), c, requester)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameBodies(got, want); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 	s := newScenario(t)
-	rec, err := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("bt O−"), nil)
-	if err != nil {
-		t.Fatal(err)
+	bodies := [][]byte{[]byte("bt O−"), []byte("allergy: latex"), []byte("pacemaker"), []byte("asthma")}
+	var ids []string
+	for _, b := range bodies {
+		rec, err := s.alice.AddRecord(s.svc.Store, CategoryEmergency, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
 	}
 	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
+	if n := proxy.GrantCount(); n != 1 {
+		t.Fatalf("grant count = %d, want 1", n)
+	}
 	// Warm the prepared grant's pairing cache on every path.
-	if _, err := s.svc.Read(rec.ID, s.bobKey); err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if _, err := s.svc.Read(id, s.bobKey); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.svc.ReadCategory(s.alice.ID(), CategoryEmergency, s.bobKey); err != nil {
-		t.Fatal(err)
-	}
+	assertBodies(t, s, CategoryEmergency, s.bobKey, bodies)
 
 	if err := s.alice.Revoke(proxy, s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
+	if n := proxy.GrantCount(); n != 0 {
+		t.Fatalf("grant count after revoke = %d, want 0", n)
+	}
 	// The warm cache must be unreachable on every disclosure path.
-	if _, err := s.svc.Read(rec.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := s.svc.Read(ids[0], s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("serial path after revoke: want ErrNoGrant, got %v", err)
 	}
 	if _, err := s.svc.ReadCategory(s.alice.ID(), CategoryEmergency, s.bobKey); !errors.Is(err, ErrNoGrant) {
@@ -47,11 +88,16 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 		t.Fatalf("break-glass path after revoke: want ErrNoGrant, got %v", err)
 	}
 	yields := 0
-	err = proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
+	err := proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
 		func(*hybrid.ReCiphertext) error { yields++; return nil })
 	if !errors.Is(err, ErrNoGrant) || yields != 0 {
 		t.Fatalf("stream path after revoke: err=%v yields=%d", err, yields)
 	}
+	// One denial per refused path.
+	if n := len(proxy.Audit().ByOutcome(OutcomeNoGrant)); n != 4 {
+		t.Fatalf("no-grant audit entries = %d, want 4", n)
+	}
+	assertGapless(t, proxy.Audit().Entries())
 }
 
 func TestRevokeKillsInFlightStream(t *testing.T) {
@@ -66,6 +112,9 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
+	if n := proxy.GrantCount(); n != 1 {
+		t.Fatalf("grant count = %d, want 1", n)
+	}
 
 	yields := 0
 	err := proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
@@ -85,6 +134,9 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 	if yields != 1 {
 		t.Fatalf("stream released %d records after revocation, want 1", yields)
 	}
+	if n := proxy.GrantCount(); n != 0 {
+		t.Fatalf("grant count after revoke = %d, want 0", n)
+	}
 	// Audit: exactly one granted entry (the delivered record) and one
 	// denial for the terminated stream.
 	log := proxy.Audit()
@@ -95,6 +147,7 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 	if len(denials) != 1 || denials[0].Outcome != OutcomeNoGrant {
 		t.Fatalf("denials = %+v, want one no-grant entry", denials)
 	}
+	assertGapless(t, log.Entries())
 }
 
 func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
@@ -128,6 +181,7 @@ func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
 	if _, err := discloseAll(proxy, s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); err != nil {
 		t.Fatal(err)
 	}
+	assertGapless(t, proxy.Audit().Entries())
 }
 
 func TestRotateTypeKeyLifecycle(t *testing.T) {
@@ -144,9 +198,7 @@ func TestRotateTypeKeyLifecycle(t *testing.T) {
 	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryMedication); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.svc.ReadCategory(s.alice.ID(), CategoryMedication, s.bobKey); err != nil {
-		t.Fatal(err)
-	}
+	assertBodies(t, s, CategoryMedication, s.bobKey, want)
 
 	n, err := s.alice.RotateTypeKey(s.svc.Store, CategoryMedication, nil)
 	if err != nil {
@@ -199,18 +251,8 @@ func TestRotateTypeKeyLifecycle(t *testing.T) {
 	if got := proxy.GrantCount(); got != 1 {
 		t.Fatalf("grant count after re-grant = %d, want 1 (stale grant replaced)", got)
 	}
-	bodies, err := s.svc.ReadCategory(s.alice.ID(), CategoryMedication, s.bobKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bodies) != len(want) {
-		t.Fatalf("post-rotation disclosure returned %d records, want %d", len(bodies), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(bodies[i], want[i]) {
-			t.Fatalf("post-rotation record %d mismatch", i)
-		}
-	}
+	assertBodies(t, s, CategoryMedication, s.bobKey, want)
+	assertGapless(t, proxy.Audit().Entries())
 }
 
 func TestBreakGlassLifecycle(t *testing.T) {
@@ -229,12 +271,15 @@ func TestBreakGlassLifecycle(t *testing.T) {
 	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
+	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
+	if n := proxy.GrantCount(); n != 1 {
+		t.Fatalf("grant count = %d, want 1", n)
+	}
 
 	// A reason is mandatory, and its absence leaks nothing.
 	if _, err := s.svc.BreakGlass(s.alice.ID(), s.bobKey.ID, ""); !errors.Is(err, ErrBreakGlassReason) {
 		t.Fatalf("break-glass without reason: want ErrBreakGlassReason, got %v", err)
 	}
-	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
 	if proxy.Audit().Len() != 0 {
 		t.Fatal("reason-less break-glass attempt produced audit traffic")
 	}
@@ -280,7 +325,9 @@ func TestBreakGlassLifecycle(t *testing.T) {
 		t.Fatalf("unauthorized break-glass: want ErrNoGrant, got %v", err)
 	}
 	denials := proxy.Audit().Denials()
-	if len(denials) != 1 || denials[0].Outcome != OutcomeNoGrant || denials[0].Note != reason {
-		t.Fatalf("unauthorized break-glass denial = %+v", denials)
+	if len(denials) != 1 || denials[0].Outcome != OutcomeNoGrant ||
+		denials[0].Requester != s.eveKey.ID || denials[0].Note != reason {
+		t.Fatalf("unauthorized break-glass denial = %+v, want no-grant by %s with the reason on record", denials, s.eveKey.ID)
 	}
+	assertGapless(t, proxy.Audit().Entries())
 }

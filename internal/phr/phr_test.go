@@ -188,8 +188,8 @@ func TestStoreIndexes(t *testing.T) {
 	if n := s.svc.Store.Count(); n != 3 {
 		t.Fatalf("Count = %d, want 3", n)
 	}
-	if n := s.svc.Store.CountByPatient("alice@phr.example"); n != 2 {
-		t.Fatalf("alice count = %d, want 2", n)
+	if recs, err := s.svc.Store.ListByPatient("alice@phr.example"); err != nil || len(recs) != 2 {
+		t.Fatalf("alice records = %d (err %v), want 2", len(recs), err)
 	}
 	if got := s.svc.Store.Patients(); len(got) != 2 || got[0] != "alice@phr.example" {
 		t.Fatalf("Patients = %v", got)
@@ -219,8 +219,8 @@ func TestStoreDeleteAndErrors(t *testing.T) {
 	if err := s.svc.Store.Delete(rec.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double Delete: want ErrNotFound, got %v", err)
 	}
-	if s.svc.Store.CountByPatient("alice@phr.example") != 0 {
-		t.Fatal("index not cleaned after delete")
+	if recs, err := s.svc.Store.ListByPatient("alice@phr.example"); err != nil || len(recs) != 0 {
+		t.Fatalf("index not cleaned after delete: %d records (err %v)", len(recs), err)
 	}
 }
 

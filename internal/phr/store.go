@@ -176,13 +176,6 @@ func (s *memBackend) Count() int {
 	return len(s.byID)
 }
 
-// CountByPatient returns the number of records of one patient.
-func (s *memBackend) CountByPatient(patientID string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.index.CountByPatient(patientID)
-}
-
 // Patients returns the sorted list of patient IDs with at least one record.
 func (s *memBackend) Patients() []string {
 	s.mu.RLock()

@@ -118,7 +118,7 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 }
 
 // GenerateWorkloadFrom is GenerateWorkload with an explicit randomness
-// source, so drills and benchmarks can reproduce a corpus exactly — or
+// source, so tests and benchmarks can reproduce a corpus exactly — or
 // share one progression of draws across several generations — independent
 // of the Seed field.
 func GenerateWorkloadFrom(cfg WorkloadConfig, src rand.Source) (*Workload, error) {
