@@ -21,7 +21,8 @@
 // oracle, it runs the Go kernel mulGeneric. The CPU alone picks the kernel
 // once at init; there is no flag, build tag or environment switch. The
 // fused Fp2 kernels of package bn254 (fp2_amd64.s) expand the same
-// assembly product from mont_amd64.h.
+// assembly product from mont_amd64.h, and its two halves, a 512-bit
+// product and one reduction, for lazy reduction.
 //
 // Unreduced operands: every Element is canonical (< p) except the output
 // of AddUnreduced, which is a + b in [0, 2p) with no final subtraction.

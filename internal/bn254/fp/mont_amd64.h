@@ -1,7 +1,9 @@
 // Montgomery product and reduction macros shared by mul_amd64.s and the
 // Fp2 kernels of package bn254 (../fp2_amd64.s), so the ADX product is
-// written once. Both read the limbs of p and qInvNeg from the one table
-// that mul_amd64.s defines, and the flag useADX, by the full symbol names
+// written once: MONTMUL, and the two halves of a lazy reduction, MULPRE
+// (a 512-bit product) and REDC (one reduction of a 512-bit value). Both
+// files read the limbs of p and qInvNeg from the one table that
+// mul_amd64.s defines, and the flag useADX, by the full symbol names
 // QCONSTS and USEADX, which resolve the same from either package.
 //
 // Registers of MONTMUL: a0..a3 in R8..R11, the pointer to b in SI, the
@@ -110,3 +112,45 @@
 	ROW(CX, BX, R12, R13, R14)                    \
 	REDUCE(CX, BX, R12, R13, R14)                 \
 	REDUCE_P(BX, R12, R13, R14, R8, R9, R10, R11)
+
+// MULPRE sets the 512-bit product a·b for a in R8..R11 and b at 0(SI),
+// any 256-bit values: the four rows of MONTMUL without its REDUCE rounds.
+// The running value keeps its five limbs below 2^320, so no row overflows.
+// Each row completes one low limb, which it stores at off(p) upward, so p
+// must be a register the macro leaves alone (SP in the kernels); the high
+// limbs are left in BX, R12, R13, R14, the registers of MONTMUL's result.
+// It clobbers AX, CX, DX and DI.
+#define MULPRE(off, p)          \
+	MOVQ 0(SI), DX              \
+	ROW0(R12, R13, R14, CX, BX) \
+	MOVQ R12, off+0(p)          \
+	MOVQ 8(SI), DX              \
+	ROW(R13, R14, CX, BX, R12)  \
+	MOVQ R13, off+8(p)          \
+	MOVQ 16(SI), DX             \
+	ROW(R14, CX, BX, R12, R13)  \
+	MOVQ R14, off+16(p)         \
+	MOVQ 24(SI), DX             \
+	ROW(CX, BX, R12, R13, R14)  \
+	MOVQ CX, off+24(p)
+
+// REDC sets (t4, t0, t1, t2) = T·R⁻¹ mod p for the 512-bit T = L + H·2^256
+// with L in t0..t3 and H in h0..h3, for any T below p·2^256. Four REDUCE
+// rounds take L alone to (L + m·p)/R ≤ p, each round starting its top
+// limb at zero in the register the previous round cancelled; adding H < p
+// then gives T·R⁻¹ mod p plus a multiple of p below 2p, and REDUCE_P, with
+// h0..h3 as scratch, makes it canonical. It clobbers AX, DX and DI.
+#define REDC(t0, t1, t2, t3, t4, h0, h1, h2, h3) \
+	XORQ t4, t4                              \
+	REDUCE(t0, t1, t2, t3, t4)               \
+	XORQ t0, t0                              \
+	REDUCE(t1, t2, t3, t4, t0)               \
+	XORQ t1, t1                              \
+	REDUCE(t2, t3, t4, t0, t1)               \
+	XORQ t2, t2                              \
+	REDUCE(t3, t4, t0, t1, t2)               \
+	ADDQ h0, t4                              \
+	ADCQ h1, t0                              \
+	ADCQ h2, t1                              \
+	ADCQ h3, t2                              \
+	REDUCE_P(t4, t0, t1, t2, h0, h1, h2, h3)

@@ -74,12 +74,23 @@ func rawFp(v *big.Int) fp.Element {
 // FuzzFp2KernelsVsGeneric checks every Fp2 kernel against its Go body on
 // fuzzed canonical coefficients, taken as raw limbs: 128 bytes are the
 // four 32-byte big-endian values a0, a1, b0, b1, each reduced mod p. The
-// seeds put the coefficients on 0, 1 and p−1; a = b = (p−1, p−1) drives
-// the Karatsuba sums to (p−1)+(p−1) from AddUnreduced, the largest
-// unreduced operand a Montgomery product gets.
+// seeds put the coefficients on 0, 1 and p−1, and push the lazy kernels
+// to their bounds:
+//   - a = b = (p−1, p−1): the Karatsuba sums reach 2p−2, the largest
+//     unreduced operand a product gets, and fp2Mul's c1 = a0b1 + a1b0
+//     its largest 512-bit value.
+//   - a0 = 0, a1 = b1 = p−1 or p−11: v0 = 0 against the largest v1, so
+//     fp2Mul's c0 = v0 − v1 + p² rests on the p² offset. Without it REDC
+//     would reduce v0 − v1 + 2^512, which goes wrong only where its m·p
+//     is below v1 − v0: at p−11, not at p−1.
+//   - a = b = (p−1, 0): the largest c0, v0 + p².
+//   - mulByXi inputs near p−1, and ones that make 9a0 − a1 or a0 + 9a1 a
+//     multiple of p, where mulByXi's quotient estimate falls short by one.
 func FuzzFp2KernelsVsGeneric(f *testing.F) {
-	pm1 := new(big.Int).Sub(P, big.NewInt(1))
-	edges := []*big.Int{big.NewInt(0), big.NewInt(1), pm1}
+	n := func(v int64) *big.Int { return big.NewInt(v) }
+	sub := func(x, y *big.Int) *big.Int { return new(big.Int).Sub(x, y) }
+	pm1 := sub(P, n(1))
+	edges := []*big.Int{n(0), n(1), pm1}
 	seed := func(vs ...*big.Int) []byte {
 		var out []byte
 		for _, v := range vs {
@@ -93,6 +104,22 @@ func FuzzFp2KernelsVsGeneric(f *testing.F) {
 		}
 	}
 	f.Add(seed(pm1, pm1, pm1, pm1))
+	f.Add(seed(n(0), pm1, n(0), pm1))
+	f.Add(seed(n(0), sub(P, n(11)), n(0), sub(P, n(11))))
+	f.Add(seed(n(0), pm1, pm1, pm1))
+	f.Add(seed(pm1, n(0), pm1, n(0)))
+	// mulByXi reads a only: b repeats a.
+	for _, a := range [][2]*big.Int{
+		{pm1, sub(P, n(2))},
+		{sub(P, n(2)), pm1},
+		{n(1), n(9)},          // 9a0 + p − a1 = p
+		{pm1, sub(P, n(9))},   // 9a0 + p − a1 = 9p
+		{sub(P, n(9)), n(1)},  // a0 + 9a1 = p
+		{sub(P, n(81)), n(9)}, // a0 + 9a1 = p, 9a0 + p − a1 = 10p − 738
+		{n(9), pm1},           // a0 + 9a1 = 9p
+	} {
+		f.Add(seed(a[0], a[1], a[0], a[1]))
+	}
 	f.Add(bytes.Repeat([]byte{0xff}, 128))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 128 {

@@ -217,15 +217,21 @@ const G2Size = 4 * g1ElementSize
 // Marshal encodes p as 128 bytes (x.c0‖x.c1‖y.c0‖y.c1, big-endian). The
 // point at infinity encodes as all zeros.
 func (p *G2) Marshal() []byte {
-	out := make([]byte, G2Size)
+	var out [G2Size]byte
+	p.MarshalTo(&out)
+	return out[:]
+}
+
+// MarshalTo writes Marshal's encoding of p to out, allocating nothing.
+func (p *G2) MarshalTo(out *[G2Size]byte) {
 	if p.inf {
-		return out
+		*out = [G2Size]byte{}
+		return
 	}
-	for i, c := range []*fp.Element{&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1} {
+	for i, c := range [...]*fp.Element{&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1} {
 		b := c.Bytes()
 		copy(out[i*32:(i+1)*32], b[:])
 	}
-	return out
 }
 
 // Unmarshal decodes a point previously produced by Marshal, verifying the

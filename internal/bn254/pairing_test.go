@@ -294,6 +294,26 @@ func TestG2MarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestG2MarshalTo pins MarshalTo to Marshal's bytes, finite and infinite
+// (over a dirty buffer), and to no allocation.
+func TestG2MarshalTo(t *testing.T) {
+	var p, inf G2
+	p.ScalarBaseMult(big.NewInt(77))
+	inf.inf = true
+	var buf [G2Size]byte
+	for _, q := range []*G2{&p, &inf} {
+		for i := range buf {
+			buf[i] = 0xaa
+		}
+		if q.MarshalTo(&buf); !bytes.Equal(buf[:], q.Marshal()) {
+			t.Fatalf("MarshalTo %x, Marshal %x", buf, q.Marshal())
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.MarshalTo(&buf) }); n != 0 {
+		t.Fatalf("MarshalTo allocates %v times per call", n)
+	}
+}
+
 func TestG2UnmarshalRejectsInvalid(t *testing.T) {
 	var p G2
 	if err := p.Unmarshal(make([]byte, 3)); err == nil {

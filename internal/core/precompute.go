@@ -25,12 +25,12 @@ type PreparedReKey struct {
 	rk *ReKey
 
 	mu  sync.RWMutex
-	adj map[string]*bn254.GT // phrlint:guardedby mu — ê(rk, c1) keyed by marshaled c1
+	adj map[[bn254.G2Size]byte]*bn254.GT // phrlint:guardedby mu — ê(rk, c1) keyed by marshaled c1
 }
 
 // PrepareReKey wraps a proxy key for reuse across requests.
 func PrepareReKey(rk *ReKey) *PreparedReKey {
-	return &PreparedReKey{rk: rk, adj: make(map[string]*bn254.GT)}
+	return &PreparedReKey{rk: rk, adj: make(map[[bn254.G2Size]byte]*bn254.GT)}
 }
 
 // ReKey returns the underlying proxy key.
@@ -40,7 +40,8 @@ func (p *PreparedReKey) ReKey() *ReKey { return p.rk }
 // (cache-hit) path takes only a read lock so a batch worker pool serving
 // warm records does not serialize on the cache.
 func (p *PreparedReKey) adjustment(c1 *bn254.G2) *bn254.GT {
-	key := string(c1.Marshal())
+	var key [bn254.G2Size]byte
+	c1.MarshalTo(&key)
 	p.mu.RLock()
 	a, ok := p.adj[key]
 	p.mu.RUnlock()
@@ -54,7 +55,7 @@ func (p *PreparedReKey) adjustment(c1 *bn254.G2) *bn254.GT {
 
 	p.mu.Lock()
 	if len(p.adj) >= adjCacheLimit {
-		p.adj = make(map[string]*bn254.GT)
+		p.adj = make(map[[bn254.G2Size]byte]*bn254.GT)
 	}
 	p.adj[key] = a
 	p.mu.Unlock()

@@ -62,6 +62,10 @@ func TestPreparedReKeyMatchesReEncrypt(t *testing.T) {
 				t.Fatalf("ct %d rep %d: delegatee decryption failed", i, rep)
 			}
 		}
+		// A warm hit builds its cache key on the stack.
+		if n := testing.AllocsPerRun(10, func() { prk.adjustment(ct.C1) }); n != 0 {
+			t.Fatalf("ct %d: warm adjustment allocates %v times per call", i, n)
+		}
 	}
 }
 
