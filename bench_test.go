@@ -62,7 +62,7 @@ func env(b *testing.B) *benchEnv {
 	}
 	alice := core.NewDelegator(kgc1.Extract("alice@bench"))
 	bobKey := kgc2.Extract("bob@bench")
-	msg, _, err := bn254.RandomGT(nil)
+	msg, err := bn254.RandomGT(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func BenchmarkE4_AFGH_FullCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg, _, _ := bn254.RandomGT(nil)
+	msg, _ := bn254.RandomGT(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ct, err := afgh.EncryptSecondLevel(alice, msg, nil)

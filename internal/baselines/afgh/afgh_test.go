@@ -8,7 +8,7 @@ import (
 
 func randomGT(t *testing.T) *bn254.GT {
 	t.Helper()
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

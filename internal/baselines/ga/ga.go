@@ -50,7 +50,7 @@ func Decrypt(sk *ibe.PrivateKey, ct *ibe.Ciphertext) (*bn254.GT, error) {
 // delegateeParams. Non-interactive and unidirectional, like the paper's
 // scheme — but with no type parameter.
 func RKGen(sk *ibe.PrivateKey, delegateeParams *ibe.Params, delegateeID string, rng io.Reader) (*ReKey, error) {
-	x, _, err := bn254.RandomGT(rng)
+	x, err := bn254.RandomGT(rng)
 	if err != nil {
 		return nil, fmt.Errorf("ga: rkgen: %w", err)
 	}

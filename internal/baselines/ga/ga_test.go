@@ -33,7 +33,7 @@ func newFixture(t *testing.T) *fixture {
 
 func randomGT(t *testing.T) *bn254.GT {
 	t.Helper()
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 
 // In-package micro-benchmarks for the arithmetic layers, including the
 // ablation pairs (affine vs Jacobian ladders, binary vs windowed
-// exponentiation, generic vs fixed-base tables) that back the E1 table's
-// design-choice discussion.
+// exponentiation, endomorphism split vs ladder and window tables) that back
+// the E1 table's design-choice discussion.
 
 func benchScalar() *big.Int {
 	r := rand.New(rand.NewSource(99))
@@ -248,9 +248,28 @@ func BenchmarkPair(b *testing.B) {
 	}
 }
 
-func BenchmarkG1ScalarBaseMultFixed(b *testing.B) {
+func BenchmarkG1ScalarMult(b *testing.B) {
+	k := benchScalar()
+	base := HashToG1(DomainG1, []byte("bench"))
+	var out G1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.ScalarMult(base, k)
+	}
+}
+
+func BenchmarkG1ScalarBaseMult(b *testing.B) {
 	k := benchScalar()
 	var out G1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.ScalarBaseMult(k)
+	}
+}
+
+func BenchmarkG2ScalarBaseMult(b *testing.B) {
+	k := benchScalar()
+	var out G2
 	out.ScalarBaseMult(k) // force the table build out of the timed region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -258,35 +277,17 @@ func BenchmarkG1ScalarBaseMultFixed(b *testing.B) {
 	}
 }
 
-func BenchmarkG1ScalarBaseMultGeneric(b *testing.B) {
+func BenchmarkGTExp(b *testing.B) {
 	k := benchScalar()
-	var out G1
+	base := GTBase()
+	var out GT
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.scalarBaseMultGeneric(k)
+		out.Exp(base, k)
 	}
 }
 
-func BenchmarkG2ScalarBaseMultFixed(b *testing.B) {
-	k := benchScalar()
-	var out G2
-	out.ScalarBaseMult(k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.ScalarBaseMult(k)
-	}
-}
-
-func BenchmarkG2ScalarBaseMultGeneric(b *testing.B) {
-	k := benchScalar()
-	var out G2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.scalarBaseMultGeneric(k)
-	}
-}
-
-func BenchmarkGTExpBaseFixed(b *testing.B) {
+func BenchmarkGTExpBase(b *testing.B) {
 	k := benchScalar()
 	GTExpBase(k) // force the table build out of the timed region
 	b.ResetTimer()
@@ -295,12 +296,46 @@ func BenchmarkGTExpBaseFixed(b *testing.B) {
 	}
 }
 
-func BenchmarkGTExpBaseGeneric(b *testing.B) {
+// The ablations below run the paths the endomorphism split replaced: the
+// width-5 GT power over all 254 bits, and the 960-entry window tables
+// (built outside the timed region).
+
+func BenchmarkGTExpWindowed(b *testing.B) {
 	k := benchScalar()
 	base := GTBase()
-	var out GT
+	var out fp12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.Exp(base, k)
+		out.expWindowed(&base.v, k)
+	}
+}
+
+func BenchmarkGTExpBaseWindowTable(b *testing.B) {
+	k := benchScalar()
+	t := newGTWindowTable(&GTBase().v)
+	var out fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.exp(&out, k)
+	}
+}
+
+func BenchmarkG2ScalarBaseMultWindowTable(b *testing.B) {
+	k := benchScalar()
+	t := newG2WindowTable(&g2Gen)
+	var out G2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.mul(&out, k)
+	}
+}
+
+func BenchmarkG1ScalarBaseMultWindowTable(b *testing.B) {
+	k := benchScalar()
+	t := newG1WindowTable(&g1Gen)
+	var out G1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.mul(&out, k)
 	}
 }

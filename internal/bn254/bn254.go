@@ -20,14 +20,14 @@
 // square, inversion, square root) is constant time — an input-independent
 // sequence of word operations with no secret-dependent branches or table
 // indices. What is NOT constant time, and is documented as such: scalar
-// recoding (the double-and-add ladders and fixed-base window tables branch
-// on scalar bits), hash-to-curve (try-and-increment by construction), the
-// point-at-infinity flags, and the big.Int conversion shims. Scalars and
-// hashing inputs therefore leak timing; protecting real long-term secrets
-// against a local side-channel adversary additionally requires a
-// constant-time ladder, which this reproduction does not claim — see the
-// README's "Experiments" section for the substitution argument against the
-// era's PBC/MIRACL libraries.
+// recoding (the double-and-add ladders, the endomorphism split's rounding
+// and its signed-window recodings branch on scalar bits), hash-to-curve
+// (try-and-increment by construction), the point-at-infinity flags, and
+// the big.Int conversion shims. Scalars and hashing inputs therefore leak
+// timing; protecting real long-term secrets against a local side-channel
+// adversary additionally requires a constant-time ladder, which this
+// reproduction does not claim — see the README's "Experiments" section for
+// the substitution argument against the era's PBC/MIRACL libraries.
 package bn254
 
 import (

@@ -115,48 +115,3 @@ func recombine(digits []int8) *big.Int {
 	}
 	return v
 }
-
-// gtExpWindow is the recoding width of GT.Exp: eight odd powers in the
-// table and about one multiplication per six exponent bits.
-const gtExpWindow = 5
-
-// cyclotomicExp sets e = a^k for a in the cyclotomic subgroup, given the
-// width-w recoding digits = wnaf(k, w) with w ≤ gtExpWindow, and returns e.
-// It keeps the odd powers a, a³, …, a^(2^(w−1)−1) and takes a negative
-// digit from the conjugate of its table entry. Aliasing is allowed.
-func (e *fp12) cyclotomicExp(a *fp12, digits []int8, w uint) *fp12 {
-	var buf [1 << (gtExpWindow - 2)]fp12
-	table := buf[:1<<(w-2)]
-	table[0].Set(a)
-	if len(table) > 1 {
-		var a2 fp12
-		a2.cyclotomicSquare(a)
-		for i := 1; i < len(table); i++ {
-			table[i].Mul(&table[i-1], &a2)
-		}
-	}
-	var res, t fp12
-	res.SetOne()
-	started := false
-	for i := len(digits) - 1; i >= 0; i-- {
-		if started {
-			res.cyclotomicSquare(&res)
-		}
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			t.Set(&table[d>>1])
-		} else {
-			t.Conjugate(&table[(-d)>>1])
-		}
-		if started {
-			res.Mul(&res, &t)
-		} else {
-			res.Set(&t)
-			started = true
-		}
-	}
-	return e.Set(&res)
-}

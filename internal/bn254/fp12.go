@@ -135,7 +135,7 @@ func (e *fp12) FrobeniusP2(a *fp12) *fp12 {
 // It is 4-bit fixed-window square-and-multiply on generic squarings, so it
 // is correct for every element of Fp12; GT.IsInSubgroup and the reference
 // hard part rely on that. Exponentiations of elements known to lie in the
-// cyclotomic subgroup use cyclotomicExp instead.
+// cyclotomic subgroup use cyclotomicMultiExp instead.
 func (e *fp12) Exp(a *fp12, k *big.Int) *fp12 {
 	// Precompute a^0 .. a^15.
 	var table [16]fp12

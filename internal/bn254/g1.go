@@ -137,18 +137,36 @@ func (p *G1) Add(a, b *G1) *G1 {
 	return p
 }
 
-// ScalarMult sets p = k·a (k taken mod r) and returns p. It runs on the
-// Jacobian-coordinate ladder; the affine ladder scalarMultAffine in
-// reference_test.go is its property-tested reference.
+// ScalarMult sets p = k·a (k taken mod r) and returns p. It splits k into
+// two 126-bit components over φ(x, y) = (βx, y) (split.go) and runs one
+// width-4 signed-window double-scalar multiplication over a and φ(a) in
+// Jacobian coordinates. G1 has cofactor 1, so every on-curve a is in the
+// subgroup where φ is the multiplication by λ₁. The Jacobian and affine
+// ladders in reference_test.go are its property-tested references.
 func (p *G1) ScalarMult(a *G1, k *big.Int) *G1 {
-	return scalarMultJacobianG1(p, a, k)
+	if a.inf {
+		return p.Set(a)
+	}
+	var buf [2][1 << (g1MulWindow - 2)]g1Jac
+	buf[0][0].fromAffine(a)
+	twice := buf[0][0]
+	twice.double()
+	for i := 1; i < len(buf[0]); i++ {
+		buf[0][i] = buf[0][i-1]
+		buf[0][i].add(&twice)
+	}
+	for i := range buf[1] {
+		buf[1][i] = buf[0][i]
+		buf[1][i].x.Mul(&buf[1][i].x, &betaG1)
+	}
+	return g1MultiMul(p, [][]g1Jac{buf[0][:], buf[1][:]}, split2.digits(k, g1MulWindow))
 }
 
-// ScalarBaseMult sets p = k·G where G is the fixed generator, and returns p.
-// It runs on the lazily built fixed-base window table (see precompute.go);
-// tests pin it to the generic ladder (scalarBaseMultGeneric).
+// ScalarBaseMult sets p = k·G where G is the fixed generator, and returns
+// p. It is ScalarMult on G, with no table kept; tests pin it to the
+// generic ladder (scalarBaseMultGeneric).
 func (p *G1) ScalarBaseMult(k *big.Int) *G1 {
-	return g1GeneratorTable().mul(p, k)
+	return p.ScalarMult(&g1Gen, k)
 }
 
 // g1ElementSize is the marshaled size of one coordinate in bytes.

@@ -185,15 +185,23 @@ func (p *G2) Add(a, b *G2) *G2 {
 // per-step inversion for ~12 extra Fp2 multiplications) wins decisively —
 // the reverse of the old math/big trade-off. The affine ladder
 // scalarMultAffine in reference_test.go is the property-tested reference.
+//
+// It stays a ladder over all of k, not the endomorphism split of
+// ScalarBaseMult: the split is exact only for a in the order-r subgroup,
+// and IsInSubgroup and the generator check at init call ScalarMult on
+// exactly the points not yet known to be there (docs/bn254.md,
+// "Endomorphism split").
 func (p *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 	return scalarMultJacobianG2(p, a, k)
 }
 
-// ScalarBaseMult sets p = k·G where G is the fixed generator, and returns p.
-// It runs on the lazily built fixed-base window table (see precompute.go);
-// tests pin it to the generic ladder (scalarBaseMultGeneric).
+// ScalarBaseMult sets p = k·G where G is the fixed generator, and returns
+// p. It splits k into four 64-bit components over ψ (split.go) and runs
+// one width-7 signed-window multi-scalar multiplication over G, ψ(G),
+// ψ²(G) and ψ³(G) on the lazily built tables of precompute.go; tests pin
+// it to the generic ladder (scalarBaseMultGeneric).
 func (p *G2) ScalarBaseMult(k *big.Int) *G2 {
-	return g2GeneratorTable().mul(p, k)
+	return g2MultiMul(p, g2GeneratorTables(), split4.digits(k, g2BaseWindow))
 }
 
 // frobeniusTwist sets p = π(a), the p-power Frobenius endomorphism carried

@@ -58,12 +58,17 @@ func (g *GT) Div(a, b *GT) *GT {
 }
 
 // Exp sets g = a^k (k taken mod r; negative k uses the inverse) and
-// returns g. It is a width-5 signed-window exponentiation on cyclotomic
-// squarings, which is exact only because a is in GT: for an Unmarshal'ed
-// value that fails IsInSubgroup the result is unspecified.
+// returns g. It splits k into four 64-bit components over the Frobenius
+// (split.go) and runs one width-4 signed-window multi-exponentiation on
+// cyclotomic squarings over a, a^p, a^(p²) and a^(p³). Both steps are
+// exact only because a is in GT, where the Frobenius is the power λ: for
+// an Unmarshal'ed value that fails IsInSubgroup the result is unspecified.
 func (g *GT) Exp(a *GT, k *big.Int) *GT {
-	kk := new(big.Int).Mod(k, Order)
-	g.v.cyclotomicExp(&a.v, wnaf(kk, gtExpWindow), gtExpWindow)
+	var buf [4][1 << (gtExpWindow - 2)]fp12
+	tabs := [][]fp12{buf[0][:], buf[1][:], buf[2][:], buf[3][:]}
+	oddPowers(tabs[0], &a.v)
+	frobeniusTables(tabs)
+	g.v.cyclotomicMultiExp(tabs, split4.digits(k, gtExpWindow))
 	return g
 }
 

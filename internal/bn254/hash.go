@@ -98,14 +98,14 @@ func RandomScalar(rng io.Reader) (*big.Int, error) {
 	return k.Add(k, big.NewInt(1)), nil // uniform in [1, r-1]
 }
 
-// RandomGT returns a uniformly random element of GT together with the
-// exponent k such that the element equals ê(g1, g2)^k.
-func RandomGT(rng io.Reader) (*GT, *big.Int, error) {
+// RandomGT returns a uniformly random element of GT other than 1, read
+// from rng (crypto/rand.Reader when rng is nil).
+func RandomGT(rng io.Reader) (*GT, error) {
 	k, err := RandomScalar(rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return GTExpBase(k), k, nil
+	return GTExpBase(k), nil
 }
 
 // KDF derives size bytes of key material from a GT element via SHA-256 in

@@ -6,13 +6,13 @@ import (
 	"typepre/internal/bn254/fp"
 )
 
-// Jacobian-coordinate scalar multiplication for G1 and G2. A point
-// (X, Y, Z) represents the affine point (X/Z², Y/Z³); doubling and mixed
-// addition avoid the per-step field inversion of the affine formulas, which
-// dominates their cost (a constant-time inversion is hundreds of
-// multiplications). ScalarMult uses these paths; the affine ladder
-// (scalarMultAffine in reference_test.go) is their property-tested
-// reference and the ablation benchmark's baseline.
+// Jacobian-coordinate arithmetic for G1 and G2. A point (X, Y, Z)
+// represents the affine point (X/Z², Y/Z³); doubling and addition avoid the
+// per-step field inversion of the affine formulas, which dominates their
+// cost (a constant-time inversion is hundreds of multiplications). The
+// scalar multiplications of g1.go, g2.go and split.go accumulate here; the
+// affine ladders (scalarMultAffine in reference_test.go) are their
+// property-tested references and the ablation benchmarks' baseline.
 
 // g1Jac is a G1 point in Jacobian coordinates; Z=0 encodes infinity.
 type g1Jac struct {
@@ -87,21 +87,27 @@ func (j *g1Jac) double() {
 	j.z.Set(&z3)
 }
 
-// addMixed sets j = j + q for an affine, non-infinity q
-// (madd-2007-bl formulas).
-func (j *g1Jac) addMixed(q *G1) {
-	if j.z.IsZero() {
-		j.fromAffine(q)
+// add sets j = j + q for a Jacobian q (add-2007-bl formulas). Aliasing
+// is allowed.
+func (j *g1Jac) add(q *g1Jac) {
+	if q.z.IsZero() {
 		return
 	}
-	var z1z1, u2, s2, h, hh, i, jj, rr, v, t fp.Element
+	if j.z.IsZero() {
+		*j = *q
+		return
+	}
+	var z1z1, z2z2, u1, u2, s1, s2, h, i, jj, rr, v, t fp.Element
 	z1z1.Square(&j.z)
+	z2z2.Square(&q.z)
+	u1.Mul(&j.x, &z2z2)
 	u2.Mul(&q.x, &z1z1)
+	s1.Mul(&j.y, &q.z)
+	s1.Mul(&s1, &z2z2)
 	s2.Mul(&q.y, &j.z)
 	s2.Mul(&s2, &z1z1)
-	h.Sub(&u2, &j.x)
-	rr.Sub(&s2, &j.y)
-	rr.Double(&rr)
+	h.Sub(&u2, &u1)
+	rr.Sub(&s2, &s1)
 	if h.IsZero() {
 		if rr.IsZero() {
 			j.double()
@@ -110,55 +116,34 @@ func (j *g1Jac) addMixed(q *G1) {
 		j.setInfinity()
 		return
 	}
-	hh.Square(&h)
-	i.Double(&hh)
-	i.Double(&i)
+	rr.Double(&rr)
+	// I = (2H)², J = H·I, V = U1·I
+	i.Double(&h)
+	i.Square(&i)
 	jj.Mul(&h, &i)
-	v.Mul(&j.x, &i)
+	v.Mul(&u1, &i)
+	// Z3 = ((Z1 + Z2)² − Z1Z1 − Z2Z2)·H
 	var x3, y3, z3 fp.Element
+	z3.Add(&j.z, &q.z)
+	z3.Square(&z3)
+	z3.Sub(&z3, &z1z1)
+	z3.Sub(&z3, &z2z2)
+	z3.Mul(&z3, &h)
 	// X3 = r² − J − 2V
 	x3.Square(&rr)
 	x3.Sub(&x3, &jj)
 	t.Double(&v)
 	x3.Sub(&x3, &t)
-	// Y3 = r(V − X3) − 2·Y1·J
+	// Y3 = r(V − X3) − 2·S1·J
 	y3.Sub(&v, &x3)
 	y3.Mul(&y3, &rr)
-	t.Mul(&j.y, &jj)
+	t.Mul(&s1, &jj)
 	t.Double(&t)
 	y3.Sub(&y3, &t)
-	// Z3 = (Z1 + H)² − Z1Z1 − HH
-	z3.Add(&j.z, &h)
-	z3.Square(&z3)
-	z3.Sub(&z3, &z1z1)
-	z3.Sub(&z3, &hh)
 
 	j.x.Set(&x3)
 	j.y.Set(&y3)
 	j.z.Set(&z3)
-}
-
-// scalarMultJacobianG1 computes k·a via the Jacobian ladder.
-func scalarMultJacobianG1(p *G1, a *G1, k *big.Int) *G1 {
-	kk := new(big.Int).Mod(k, Order)
-	var acc g1Jac
-	acc.setInfinity()
-	if a.inf || kk.Sign() == 0 {
-		p.inf = true
-		p.x.SetZero()
-		p.y.SetZero()
-		return p
-	}
-	var base G1
-	base.Set(a)
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		acc.double()
-		if kk.Bit(i) == 1 {
-			acc.addMixed(&base)
-		}
-	}
-	acc.toAffine(p)
-	return p
 }
 
 // g2Jac is a G2 point in Jacobian coordinates over Fp2; Z=0 is infinity.

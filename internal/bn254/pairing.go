@@ -280,7 +280,9 @@ var uNAF = wnaf(u, uWindow)
 
 // expByU sets dst = a^u for a in the cyclotomic subgroup and returns dst.
 func expByU(dst, a *fp12) *fp12 {
-	return dst.cyclotomicExp(a, uNAF, uWindow)
+	var tab [1 << (uWindow - 2)]fp12
+	oddPowers(tab[:], a)
+	return dst.cyclotomicMultiExp([][]fp12{tab[:]}, [][]int8{uNAF})
 }
 
 // hardPartChain computes m^((p⁴−p²+1)/r) with the addition chain of
@@ -371,11 +373,10 @@ func GTBase() *GT {
 	return &g
 }
 
-// GTExpBase returns ê(G1gen, G2gen)^k. It runs on the lazily built
-// fixed-base window table (see precompute.go), which replaces the generic
-// square-and-multiply with at most 64 multiplications.
+// GTExpBase returns ê(G1gen, G2gen)^k. It runs GT.Exp's endomorphism
+// split on the lazily built width-6 tables of precompute.go.
 func GTExpBase(k *big.Int) *GT {
 	var g GT
-	gtBaseFixedTable().exp(&g.v, k)
+	g.v.cyclotomicMultiExp(gtBaseTables(), split4.digits(k, gtBaseWindow))
 	return &g
 }

@@ -25,9 +25,9 @@ func randG2(r *rand.Rand) *G2 {
 	return &p
 }
 
-// edgeScalars are the scalars most likely to break a windowed table:
-// identity-adjacent values, the group order, and out-of-range inputs that
-// exercise the modular reduction.
+// edgeScalars are the scalars most likely to break a windowed recoding or
+// the endomorphism split: identity-adjacent values, the group order, and
+// out-of-range inputs that exercise the modular reduction.
 func edgeScalars() []*big.Int {
 	return []*big.Int{
 		big.NewInt(0),
@@ -52,8 +52,8 @@ func testScalars(seed int64, extra int) []*big.Int {
 	return ks
 }
 
-// TestG1FixedBaseMatchesGeneric pins the windowed table against the generic
-// ladder, including the zero scalar and k ≡ 0 (mod r).
+// TestG1FixedBaseMatchesGeneric pins the endomorphism split against the
+// generic ladder, including the zero scalar and k ≡ 0 (mod r).
 func TestG1FixedBaseMatchesGeneric(t *testing.T) {
 	for _, k := range testScalars(46, 8) {
 		var got, want G1
@@ -80,7 +80,8 @@ func TestG2FixedBaseMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestGTExpBaseMatchesGeneric pins the fixed-base GT table against GT.Exp.
+// TestGTExpBaseMatchesGeneric pins GTExpBase's fixed tables against
+// GT.Exp's per-call ones.
 func TestGTExpBaseMatchesGeneric(t *testing.T) {
 	base := GTBase()
 	for _, k := range testScalars(48, 8) {
@@ -102,7 +103,7 @@ func TestPreparedConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 3; i++ {
 				k := new(big.Int).Rand(r, Order)
-				var a, b G1
+				var a, b G2
 				a.ScalarBaseMult(k)
 				b.scalarBaseMultGeneric(k)
 				if !a.Equal(&b) {

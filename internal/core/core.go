@@ -147,7 +147,7 @@ type ReKey struct {
 // by delegateeParams (the paper's Pextract). It is non-interactive: only
 // the delegator's key is involved.
 func (d *Delegator) Delegate(delegateeParams *ibe.Params, delegateeID string, t Type, rng io.Reader) (*ReKey, error) {
-	x, _, err := bn254.RandomGT(rng)
+	x, err := bn254.RandomGT(rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: delegate: %w", err)
 	}

@@ -42,7 +42,7 @@ func newFixture(t *testing.T) *fixture {
 
 func randomMessage(t *testing.T) *bn254.GT {
 	t.Helper()
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

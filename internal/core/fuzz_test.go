@@ -95,6 +95,6 @@ func FuzzUnmarshalReCiphertext(f *testing.F) {
 func setupFuzzKGC(name string) (*ibe.KGC, error) { return ibe.Setup(name, nil) }
 
 func randomGTForFuzz() (*bn254.GT, error) {
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	return m, err
 }

@@ -24,7 +24,7 @@ func TestPreparedReKeyMatchesReEncrypt(t *testing.T) {
 	alice := NewDelegator(kgc1.Extract("alice@prk"))
 	bobKey := kgc2.Extract("bob@prk")
 
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPreparedReKeyConcurrentReEncrypt(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice := NewDelegator(kgc1.Extract("alice@cc"))
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPreparedReKeyTypeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice := NewDelegator(kgc1.Extract("alice@mm"))
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

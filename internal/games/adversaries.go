@@ -28,11 +28,11 @@ func NewGuessingAdversary(rng io.Reader) *GuessingAdversary {
 
 // Phase1 picks two random messages and a fresh identity.
 func (a *GuessingAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.GT, core.Type, string, error) {
-	m0, _, err := bn254.RandomGT(a.rng)
+	m0, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	m1, _, err := bn254.RandomGT(a.rng)
+	m1, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -71,7 +71,7 @@ func (a *SideQueryAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.GT, core
 	if _, err := c.Pextract("target@example.com", "bystander2@example.com", "other-type"); err != nil {
 		return nil, nil, "", "", err
 	}
-	m, _, err := bn254.RandomGT(a.rng)
+	m, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -79,11 +79,11 @@ func (a *SideQueryAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.GT, core
 		return nil, nil, "", "", err
 	}
 
-	a.m0, _, err = bn254.RandomGT(a.rng)
+	a.m0, err = bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	a.m1, _, err = bn254.RandomGT(a.rng)
+	a.m1, err = bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -119,11 +119,11 @@ func (a *KeyThiefAdversary) StealKey(k *ibe.PrivateKey) { a.stolen = k }
 // Phase1 picks the challenge tuple.
 func (a *KeyThiefAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.GT, core.Type, string, error) {
 	var err error
-	a.m0, _, err = bn254.RandomGT(a.rng)
+	a.m0, err = bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	a.m1, _, err = bn254.RandomGT(a.rng)
+	a.m1, err = bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -162,11 +162,11 @@ func (a *CheatingExtractAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.GT
 	if _, err := c.Extract1("target@example.com"); err != nil {
 		return nil, nil, "", "", err
 	}
-	m0, _, err := bn254.RandomGT(a.rng)
+	m0, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	m1, _, err := bn254.RandomGT(a.rng)
+	m1, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -198,11 +198,11 @@ func (a *CollusionPairAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.GT, 
 	if _, err := c.Pextract("target@example.com", "accomplice@example.com", "t"); err != nil {
 		return nil, nil, "", "", err
 	}
-	m0, _, err := bn254.RandomGT(a.rng)
+	m0, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	m1, _, err := bn254.RandomGT(a.rng)
+	m1, err := bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -244,11 +244,11 @@ func (a *OtherTypeColluderAdversary) Phase1(c *DRChallenger) (*bn254.GT, *bn254.
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	a.m0, _, err = bn254.RandomGT(a.rng)
+	a.m0, err = bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	a.m1, _, err = bn254.RandomGT(a.rng)
+	a.m1, err = bn254.RandomGT(a.rng)
 	if err != nil {
 		return nil, nil, "", "", err
 	}

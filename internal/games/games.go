@@ -366,7 +366,7 @@ func (c *OWChallenger) Challenge(id string) (*ibe.Ciphertext, error) {
 	if c.extracted[id] {
 		return nil, fmt.Errorf("%w: challenge identity was extracted", ErrConstraintViolated)
 	}
-	m, _, err := bn254.RandomGT(c.rng)
+	m, err := bn254.RandomGT(c.rng)
 	if err != nil {
 		return nil, err
 	}

@@ -119,8 +119,8 @@ func TestConstraintBPostChallengeExtract2Rejected(t *testing.T) {
 	if _, err := c.Pextract("target@x", "friend@y", "t"); err != nil {
 		t.Fatal(err)
 	}
-	m0, _, _ := bn254.RandomGT(nil)
-	m1, _, _ := bn254.RandomGT(nil)
+	m0, _ := bn254.RandomGT(nil)
+	m1, _ := bn254.RandomGT(nil)
 	if _, err := c.Challenge(m0, m1, "t", "target@x"); err == nil {
 		// Challenge is actually inadmissible here only if friend@y was
 		// extracted; it was not, so the challenge must succeed...
@@ -144,8 +144,8 @@ func TestConstraintBPostChallengePextractRejected(t *testing.T) {
 	if _, err := c.Extract2("friend@y"); err != nil {
 		t.Fatal(err)
 	}
-	m0, _, _ := bn254.RandomGT(nil)
-	m1, _, _ := bn254.RandomGT(nil)
+	m0, _ := bn254.RandomGT(nil)
+	m1, _ := bn254.RandomGT(nil)
 	if _, err := c.Challenge(m0, m1, "t", "target@x"); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestConstraintCPreencPextractExclusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, _ := bn254.RandomGT(nil)
+	m, _ := bn254.RandomGT(nil)
 	if _, err := c.Preenc(m, "t", "a@x", "b@y"); err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,8 @@ func TestConstraintCPreencPextractExclusion(t *testing.T) {
 
 func TestDoubleChallengeRejected(t *testing.T) {
 	c, _ := NewDRChallenger(nil)
-	m0, _, _ := bn254.RandomGT(nil)
-	m1, _, _ := bn254.RandomGT(nil)
+	m0, _ := bn254.RandomGT(nil)
+	m1, _ := bn254.RandomGT(nil)
 	if _, err := c.Challenge(m0, m1, "t", "id"); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPreencOutputDecryptsForDelegatee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, _ := bn254.RandomGT(nil)
+	m, _ := bn254.RandomGT(nil)
 	rct, err := c.Preenc(m, "t", "writer@x", "reader@y")
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +237,8 @@ func TestCPAGameGuessing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m0, _, _ := bn254.RandomGT(nil)
-		m1, _, _ := bn254.RandomGT(nil)
+		m0, _ := bn254.RandomGT(nil)
+		m1, _ := bn254.RandomGT(nil)
 		if _, err := c.Challenge(m0, m1, "victim@x"); err != nil {
 			t.Fatal(err)
 		}
@@ -267,8 +267,8 @@ func TestCPAGameExtractTargetRejected(t *testing.T) {
 	if _, err := c.Extract("victim@x"); err != nil {
 		t.Fatal(err)
 	}
-	m0, _, _ := bn254.RandomGT(nil)
-	m1, _, _ := bn254.RandomGT(nil)
+	m0, _ := bn254.RandomGT(nil)
+	m1, _ := bn254.RandomGT(nil)
 	if _, err := c.Challenge(m0, m1, "victim@x"); !errors.Is(err, ErrConstraintViolated) {
 		t.Fatalf("want ErrConstraintViolated, got %v", err)
 	}
@@ -290,8 +290,8 @@ func TestCPAGameExtractedKeyWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	sk := c.kgc.Extract("victim@x") // back door
-	m0, _, _ := bn254.RandomGT(nil)
-	m1, _, _ := bn254.RandomGT(nil)
+	m0, _ := bn254.RandomGT(nil)
+	m1, _ := bn254.RandomGT(nil)
 	ct, err := c.Challenge(m0, m1, "victim@x")
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestOWGame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A random guess never recovers the exact GT element.
-	g, _, _ := bn254.RandomGT(nil)
+	g, _ := bn254.RandomGT(nil)
 	won, err := c.Finish(g)
 	if err != nil {
 		t.Fatal(err)

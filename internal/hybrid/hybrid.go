@@ -120,7 +120,7 @@ func openPayload(k *bn254.GT, ad, nonce, sealed []byte) ([]byte, error) {
 // Encrypt seals msg with a fresh KEM under the delegator's identity and
 // the given type.
 func Encrypt(d *core.Delegator, msg []byte, t core.Type, rng io.Reader) (*Ciphertext, error) {
-	k, _, err := bn254.RandomGT(rng)
+	k, err := bn254.RandomGT(rng)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}

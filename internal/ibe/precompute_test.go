@@ -40,7 +40,7 @@ func TestEncryptCachedMatchesBareParams(t *testing.T) {
 	cached := kgc.Params()
 	bare := &Params{Name: cached.Name, PK: cached.PK}
 
-	m, _, err := bn254.RandomGT(nil)
+	m, err := bn254.RandomGT(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

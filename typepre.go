@@ -105,7 +105,7 @@ func DecryptBytesReEncrypted(sk *PrivateKey, rct *HybridReCiphertext) ([]byte, e
 // RandomMessage returns a uniformly random GT element (the scheme's native
 // message space) for tests, examples and benchmarks.
 func RandomMessage(rng io.Reader) (*GT, error) {
-	m, _, err := bn254.RandomGT(rng)
+	m, err := bn254.RandomGT(rng)
 	return m, err
 }
 
