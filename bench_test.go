@@ -258,16 +258,35 @@ func BenchmarkE2_Encrypt2_NaiveMask(b *testing.B) {
 
 // BenchmarkE2_Preenc_Prepared measures the proxy's repeat transformation of
 // one sealed record through a prepared rekey: after the first request the
-// pairing adjustment is cached and the transform is pairing-free.
+// finished c2′ is cached and the transform decodes it, pairing-free.
 func BenchmarkE2_Preenc_Prepared(b *testing.B) {
 	e := env(b)
 	prk := core.PrepareReKey(e.rk)
-	if _, err := prk.ReEncrypt(e.ct); err != nil { // warm the adjustment
+	if _, err := prk.ReEncrypt(e.ct); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := prk.ReEncrypt(e.ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkE2_Preenc_Frame measures what a proxy does for a warm disclosure
+// of a sealed record with a 1 KiB payload: the container that goes on the
+// wire, appended from the prepared rekey's cache into a reused buffer.
+func BenchmarkE2_Preenc_Frame(b *testing.B) {
+	e := env(b)
+	ct := &hybrid.Ciphertext{KEM: e.ct, Nonce: make([]byte, 12), Payload: make([]byte, 1<<10)}
+	prk := core.PrepareReKey(e.rk)
+	frame, err := hybrid.AppendReEncrypted(nil, ct, prk) // warm the cache
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if frame, err = hybrid.AppendReEncrypted(frame[:0], ct, prk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -605,8 +624,8 @@ func BenchmarkE7_ProxyOnly_1MiB(b *testing.B)  { benchE7Proxy(b, 1<<20) }
 // audit) over a workload-generated patient. The pool is sized by
 // GOMAXPROCS, so serial against parallel is
 // `go test -bench DiscloseCategory -cpu 1,2`. The warm variant serves
-// every record from the grant's pairing cache; the cold one pays a
-// pairing per record. Order and byte-identical plaintexts are pinned by
+// every record from the grant's c2′ cache on the calling goroutine; the
+// cold one pays a pairing per record in the pool. Order and byte-identical plaintexts are pinned by
 // the internal/hybrid and internal/phr tests; here we measure throughput.
 // ---------------------------------------------------------------------------
 
@@ -626,7 +645,7 @@ func benchDiscloseCategory(b *testing.B, records int, cold bool) {
 		}
 		n := 0
 		err := f.Proxy.DiscloseCategoryStream(f.Service.Store, f.PatientID, phr.CategoryEmergency, f.RequesterID,
-			func(*hybrid.ReCiphertext) error { n++; return nil })
+			func([]byte, bool) error { n++; return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -634,7 +653,7 @@ func benchDiscloseCategory(b *testing.B, records int, cold bool) {
 			b.Fatalf("disclosed %d records, want %d", n, records)
 		}
 	}
-	// Warm the grant's per-record pairing cache: the warm runs measure
+	// Warm the grant's per-record c2′ cache: the warm runs measure
 	// the steady-state serving path (write once, disclose many).
 	disclose()
 	b.ResetTimer()
@@ -652,7 +671,7 @@ func BenchmarkDiscloseCategory(b *testing.B) {
 
 // BenchmarkDiscloseCategoryCold is E9 with no warm cache: before each
 // iteration the fixture's rekey is installed again, which replaces the
-// prepared rekey and empties its pairing cache, so every record pays a
+// prepared rekey and empties its c2′ cache, so every record pays a
 // bn254 pairing (the first disclosure under a new grant).
 func BenchmarkDiscloseCategoryCold(b *testing.B) {
 	for _, n := range []int{1, 8, 64, 512} {

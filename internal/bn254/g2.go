@@ -1,6 +1,7 @@
 package bn254
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -45,11 +46,22 @@ func initGenerators() {
 	if !g2Gen.IsOnCurve() {
 		panic("bn254: G2 generator not on twist curve")
 	}
-	var t G2
-	t.ScalarMult(&g2Gen, Order)
-	if !t.inf {
-		panic("bn254: G2 generator does not have order r")
+	if !psiIsLambda(&g2Gen) {
+		panic("bn254: G2 generator is not in the order-r subgroup")
 	}
+}
+
+// psiIsLambda reports whether ψ(q) = [λ]q with λ = 6u², the eigenvalue
+// relation that holds on the order-r subgroup of the twist and, for BN
+// curves, nowhere else on it (Scott, "A note on group membership tests
+// for G1, G2 and GT on BLS pairing-friendly curves", ePrint 2021/1130).
+// It checks the generator at init; [r]q = ∞ cannot, since ScalarMult
+// reduces r to 0 first and returns ∞ for every point.
+func psiIsLambda(q *G2) bool {
+	var psi, mul G2
+	psi.frobeniusTwist(q)
+	scalarMultJacobianG2(&mul, q, lambda) // λ < r: the reduction is moot
+	return psi.Equal(&mul)
 }
 
 // G2Generator returns a copy of the fixed generator of G2.
@@ -239,6 +251,28 @@ func (p *G2) MarshalTo(out *[G2Size]byte) {
 	for i, c := range [...]*fp.Element{&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1} {
 		b := c.Bytes()
 		copy(out[i*32:(i+1)*32], b[:])
+	}
+}
+
+// LimbsTo writes p's coordinates as held in memory, canonical Montgomery
+// limbs, little-endian, to out; the point at infinity writes zeros. Equal
+// points write equal bytes and distinct points distinct ones, so the bytes
+// identify p exactly, without Marshal's conversion out of Montgomery form.
+// They are not an encoding: nothing decodes them.
+func (p *G2) LimbsTo(out *[G2Size]byte) {
+	if p.inf {
+		*out = [G2Size]byte{}
+		return
+	}
+	for i, c := range [...]*fp.Element{&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1} {
+		putLimbs(out[i*32:(i+1)*32], c)
+	}
+}
+
+// putLimbs writes e's four limbs little-endian to out[:32].
+func putLimbs(out []byte, e *fp.Element) {
+	for j, l := range e {
+		binary.LittleEndian.PutUint64(out[8*j:], l)
 	}
 }
 

@@ -86,16 +86,30 @@ const GTSize = 12 * 32
 // Marshal encodes g as 384 bytes: the twelve Fp coefficients in tower order
 // (c0.c0.c0, c0.c0.c1, c0.c1.c0, ..., c1.c2.c1), each 32 bytes big-endian.
 func (g *GT) Marshal() []byte {
-	out := make([]byte, 0, GTSize)
-	for _, c := range g.coeffs() {
-		buf := c.Bytes()
-		out = append(out, buf[:]...)
-	}
+	out := make([]byte, GTSize)
+	g.MarshalTo((*[GTSize]byte)(out))
 	return out
 }
 
-func (g *GT) coeffs() []*fp.Element {
-	return []*fp.Element{
+// MarshalTo writes Marshal's encoding of g to out, allocating nothing.
+func (g *GT) MarshalTo(out *[GTSize]byte) {
+	for i, c := range g.coeffs() {
+		b := c.Bytes()
+		copy(out[i*32:(i+1)*32], b[:])
+	}
+}
+
+// LimbsTo writes g's coefficients as held in memory, canonical Montgomery
+// limbs, little-endian, to out: like G2.LimbsTo, bytes that identify g
+// exactly and that nothing decodes.
+func (g *GT) LimbsTo(out *[GTSize]byte) {
+	for i, c := range g.coeffs() {
+		putLimbs(out[i*32:(i+1)*32], c)
+	}
+}
+
+func (g *GT) coeffs() [12]*fp.Element {
+	return [12]*fp.Element{
 		&g.v.c0.c0.c0, &g.v.c0.c0.c1,
 		&g.v.c0.c1.c0, &g.v.c0.c1.c1,
 		&g.v.c0.c2.c0, &g.v.c0.c2.c1,

@@ -88,6 +88,27 @@ func TestG2SubgroupCheckPsi(t *testing.T) {
 	}
 }
 
+// TestGeneratorCheck feeds the init check of the G2 generator points of
+// G2, which it must accept, and on-twist points outside G2, which it must
+// reject: the [r]q = ∞ check it replaced accepted both.
+func TestGeneratorCheck(t *testing.T) {
+	r := rand.New(rand.NewSource(72))
+	for i, q := range []*G2{G2Generator(), randG2(r), randG2(r)} {
+		if !psiIsLambda(q) {
+			t.Fatalf("member %d rejected", i)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		q := randTwistPoint(r)
+		if isInSubgroupOrder(q) {
+			continue // a negligible chance; the oracle rules
+		}
+		if psiIsLambda(q) {
+			t.Fatalf("twist point %d outside G2 accepted", i)
+		}
+	}
+}
+
 func BenchmarkG2SubgroupCheckPsi(b *testing.B) {
 	var q G2
 	q.ScalarBaseMult(benchScalar())

@@ -40,6 +40,10 @@ func uPoly(c ...int64) *big.Int {
 }
 
 var (
+	// lambda is p mod r = 6u², the power by which the Frobenius acts on GT
+	// and ψ on G2.
+	lambda = uPoly(0, 0, 6)
+
 	// split4 is the 4-dimensional lattice of GT and G2. Its basis has
 	// determinant −r, so every component is below 2⁶⁴ in absolute value.
 	split4 = splitLattice{

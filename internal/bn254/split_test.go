@@ -12,15 +12,9 @@ import (
 // rests on, and the split paths against the ladders and the old window
 // tables of reference_test.go.
 
-var (
-	// lambda is p mod r = 6u², the power by which the Frobenius acts on GT
-	// and ψ on G2.
-	lambda = uPoly(0, 0, 6)
-
-	// lambdaG1 is the power by which φ acts on G1, a root of λ² + λ + 1
-	// modulo r.
-	lambdaG1 = uPoly(1, 6, 18, 36)
-)
+// lambdaG1 is the power by which φ acts on G1, a root of λ² + λ + 1
+// modulo r. (λ itself is split.go's lambda.)
+var lambdaG1 = uPoly(1, 6, 18, 36)
 
 // splitCases pairs each lattice with its λ and the bound on |kᵢ| that
 // docs/bn254.md derives: half the largest column sum of |basis|.

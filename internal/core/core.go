@@ -201,17 +201,14 @@ func validateReEncrypt(ct *Ciphertext, rk *ReKey) error {
 	return nil
 }
 
-// reEncryptWithAdjustment assembles the transformed ciphertext from the
-// adjustment adj = ê(rk, c1), however the caller obtained it.
-func reEncryptWithAdjustment(ct *Ciphertext, rk *ReKey, adj *bn254.GT) *ReCiphertext {
-	var c2 bn254.GT
-	c2.Mul(ct.C2, adj) // = m · ê(g₂^r, H1(X))
-
+// reCiphertext assembles the transformed ciphertext from its transformed
+// component c2 = ct.C2 · ê(rk, c1), however the caller obtained it.
+func reCiphertext(ct *Ciphertext, rk *ReKey, c2 *bn254.GT) *ReCiphertext {
 	var c1 bn254.G2
 	c1.Set(ct.C1)
 	return &ReCiphertext{
 		C1:          &c1,
-		C2:          &c2,
+		C2:          c2,
 		Type:        ct.Type,
 		DelegatorID: rk.DelegatorID,
 		DelegateeID: rk.DelegateeID,
@@ -226,8 +223,9 @@ func ReEncrypt(ct *Ciphertext, rk *ReKey) (*ReCiphertext, error) {
 	if err := validateReEncrypt(ct, rk); err != nil {
 		return nil, err
 	}
-	adj := bn254.Pair(rk.RK, ct.C1) // ê(sk^(−h)·H1(X), g₂^r)
-	return reEncryptWithAdjustment(ct, rk, adj), nil
+	var c2 bn254.GT
+	c2.Mul(ct.C2, bn254.Pair(rk.RK, ct.C1)) // = m · ê(g₂^r, H1(X))
+	return reCiphertext(ct, rk, &c2), nil
 }
 
 // DecryptReEncrypted opens a re-encrypted ciphertext with the delegatee's

@@ -63,8 +63,8 @@ func TestPreparedReKeyMatchesReEncrypt(t *testing.T) {
 			}
 		}
 		// A warm hit builds its cache key on the stack.
-		if n := testing.AllocsPerRun(10, func() { prk.adjustment(ct.C1) }); n != 0 {
-			t.Fatalf("ct %d: warm adjustment allocates %v times per call", i, n)
+		if n := testing.AllocsPerRun(10, func() { prk.Lookup(ct) }); n != 0 {
+			t.Fatalf("ct %d: warm lookup allocates %v times per call", i, n)
 		}
 	}
 }
@@ -166,4 +166,137 @@ func TestPreparedReKeyTypeMismatch(t *testing.T) {
 	if _, err := PrepareReKey(rk).ReEncrypt(nil); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("got %v, want ErrDecrypt", err)
 	}
+}
+
+// cacheFixture prepares a proxy key counted into its own stats and one
+// ciphertext it can transform.
+func cacheFixture(t *testing.T) (*Ciphertext, *ReKey, *PreparedReKey, *CacheStats) {
+	t.Helper()
+	kgc1, err := ibe.Setup("cache-kgc1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kgc2, err := ibe.Setup("cache-kgc2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := NewDelegator(kgc1.Extract("alice@cache"))
+	m, err := bn254.RandomGT(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := alice.Encrypt(m, "t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk, err := alice.Delegate(kgc2.Params(), "bob@cache", "t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := new(CacheStats)
+	return ct, rk, PrepareReKeyCounted(rk, stats), stats
+}
+
+// withC2 returns ct with c2 multiplied by g: the same c1, another c2.
+func withC2(ct *Ciphertext, g *bn254.GT) *Ciphertext {
+	var c2 bn254.GT
+	c2.Mul(ct.C2, g)
+	return &Ciphertext{C1: ct.C1, C2: &c2, Type: ct.Type}
+}
+
+func assertCounts(t *testing.T, stats *CacheStats, hits, misses, evictions uint64) {
+	t.Helper()
+	if h, m, e := stats.Counts(); h != hits || m != misses || e != evictions {
+		t.Fatalf("cache counts (hits, misses, evictions) = (%d, %d, %d), want (%d, %d, %d)", h, m, e, hits, misses, evictions)
+	}
+}
+
+// TestCacheKeyIsC1AndC2 checks that the cache keys on the ciphertext's
+// content, both c1 and c2: a byte-identical re-upload (a fresh decode of
+// the same bytes) hits, and a ciphertext that reuses c1 with another c2
+// misses and gets its own c2′.
+func TestCacheKeyIsC1AndC2(t *testing.T) {
+	ct, rk, prk, stats := cacheFixture(t)
+	if e, err := prk.Lookup(ct); e != nil || err != nil {
+		t.Fatalf("cold lookup = %v, %v; want a miss", e, err)
+	}
+	first, err := prk.ReEncrypt(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCounts(t, stats, 0, 1, 0)
+
+	reupload, err := UnmarshalCiphertext(ct.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prk.ReEncrypt(reupload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.C2.Equal(first.C2) {
+		t.Fatal("re-upload got another c2′")
+	}
+	assertCounts(t, stats, 1, 1, 0)
+
+	sibling := withC2(ct, bn254.GTBase())
+	if e, _ := prk.Lookup(sibling); e != nil {
+		t.Fatal("a ciphertext sharing only c1 hit the cache")
+	}
+	got, err = prk.ReEncrypt(sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReEncrypt(sibling, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.C2.Equal(first.C2) || !got.C2.Equal(want.C2) {
+		t.Fatal("a ciphertext sharing only c1 was served the other's c2′")
+	}
+	assertCounts(t, stats, 1, 2, 0)
+}
+
+// TestCacheEvictsOneEntry fills the cache to its limit with distinct
+// ciphertexts and checks that the next one evicts exactly one entry, and
+// that what is cached stays correct.
+func TestCacheEvictsOneEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pays cacheLimit+1 pairings")
+	}
+	ct, rk, prk, stats := cacheFixture(t)
+	g := bn254.GTOne()
+	next := func() *Ciphertext {
+		g.Mul(g, bn254.GTBase())
+		return withC2(ct, g)
+	}
+	for i := 0; i < cacheLimit; i++ {
+		if _, err := prk.Transform(next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertCounts(t, stats, 0, cacheLimit, 0)
+	last := next()
+	if _, err := prk.Transform(last); err != nil {
+		t.Fatal(err)
+	}
+	assertCounts(t, stats, 0, cacheLimit+1, 1)
+	prk.mu.RLock()
+	n := len(prk.cache)
+	prk.mu.RUnlock()
+	if n != cacheLimit {
+		t.Fatalf("cache holds %d entries, want %d", n, cacheLimit)
+	}
+	got, err := prk.ReEncrypt(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReEncrypt(last, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.C2.Equal(want.C2) {
+		t.Fatal("cached c2′ differs from the plain transformation")
+	}
+	assertCounts(t, stats, 1, cacheLimit+1, 1)
 }

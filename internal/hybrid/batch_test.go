@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -37,24 +38,46 @@ func batchFixture(t *testing.T, n int) (*fixture, []*Ciphertext, [][]byte, *core
 // duration with defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w)). That is
 // process-wide state: none of these tests may call t.Parallel.
 
-// collect runs ReEncryptStream and gathers its results in emission order.
+// collect runs ReEncryptStream and gathers its results, decoded, in
+// emission order.
 func collect(cts []*Ciphertext, prk *core.PreparedReKey) ([]*ReCiphertext, error) {
 	var out []*ReCiphertext
-	err := ReEncryptStream(cts, prk, func(rct *ReCiphertext) error {
+	err := ReEncryptStream(cts, prk, func(frame []byte, _ bool) error {
+		rct, err := decodeFrame(frame)
 		out = append(out, rct)
-		return nil
+		return err
 	})
 	return out, err
 }
 
+// decodeFrame checks a frame's length prefix and decodes its container.
+func decodeFrame(frame []byte) (*ReCiphertext, error) {
+	if n := binary.BigEndian.Uint32(frame); int(n) != len(frame)-FrameHeader {
+		return nil, fmt.Errorf("frame prefix %d, container %d bytes", n, len(frame)-FrameHeader)
+	}
+	return UnmarshalReCiphertext(frame[FrameHeader:])
+}
+
 // TestReEncryptBatchMatchesSerial pins batch re-encryption at every pool
 // size to the serial (GOMAXPROCS=1, inline) result: input order kept,
-// byte-identical plaintexts after delegatee decryption.
+// byte-identical plaintexts after delegatee decryption. Each pool size
+// runs on a cold cache, one with every other record cached, and a warm
+// one, so hits served inline interleave with misses from the pool.
 func TestReEncryptBatchMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 17} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			f, cts, bodies, prk := batchFixture(t, n)
-			for _, workers := range []int{1, 4, 64} {
+			for _, run := range []struct {
+				workers int
+				warm    int // warm every warm-th record first; 0 for none
+			}{{1, 0}, {4, 0}, {64, 0}, {4, 2}, {64, 2}, {4, 1}} {
+				workers := run.workers
+				prk = core.PrepareReKey(prk.ReKey())
+				for i := 0; run.warm > 0 && i < n; i += run.warm {
+					if _, err := ReEncryptPrepared(cts[i], prk); err != nil {
+						t.Fatal(err)
+					}
+				}
 				rcts, err := func() ([]*ReCiphertext, error) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 					return collect(cts, prk)
@@ -85,7 +108,11 @@ func TestReEncryptStreamOrderAndBoundedWindow(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	f, cts, bodies, prk := batchFixture(t, 12)
 	seen := 0
-	err := ReEncryptStream(cts, prk, func(rct *ReCiphertext) error {
+	err := ReEncryptStream(cts, prk, func(frame []byte, _ bool) error {
+		rct, err := decodeFrame(frame)
+		if err != nil {
+			return err
+		}
 		got, err := DecryptReEncrypted(f.bobKey, rct)
 		if err != nil {
 			return err
@@ -110,7 +137,7 @@ func TestReEncryptStreamPropagatesErrors(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	_, cts, _, prk := batchFixture(t, 9)
 	cts[4] = &Ciphertext{} // nil KEM → ErrDecrypt from ReEncryptPrepared
-	err := ReEncryptStream(cts, prk, func(*ReCiphertext) error { return nil })
+	err := ReEncryptStream(cts, prk, func([]byte, bool) error { return nil })
 	if err == nil {
 		t.Fatal("bad ciphertext did not fail the stream")
 	}
@@ -118,7 +145,7 @@ func TestReEncryptStreamPropagatesErrors(t *testing.T) {
 	_, cts, _, prk = batchFixture(t, 9)
 	sentinel := errors.New("consumer says stop")
 	yields := 0
-	err = ReEncryptStream(cts, prk, func(*ReCiphertext) error {
+	err = ReEncryptStream(cts, prk, func([]byte, bool) error {
 		yields++
 		if yields == 3 {
 			return sentinel
@@ -135,7 +162,7 @@ func TestReEncryptStreamPropagatesErrors(t *testing.T) {
 
 // TestReEncryptBatchConcurrentCallers exercises one shared PreparedReKey
 // from many streams at once (the race-detector target for the pool and the
-// adjustment cache).
+// c2′ cache).
 func TestReEncryptBatchConcurrentCallers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	f, cts, bodies, prk := batchFixture(t, 8)
@@ -167,5 +194,46 @@ func TestReEncryptBatchConcurrentCallers(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmFrameAllocatesNothing checks that a cache hit appended into a
+// buffer with room allocates nothing.
+func TestWarmFrameAllocatesNothing(t *testing.T) {
+	_, cts, _, prk := batchFixture(t, 1)
+	buf, err := AppendReEncrypted(make([]byte, 0, 4096), cts[0], prk) // the miss
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { buf, _ = AppendReEncrypted(buf[:0], cts[0], prk) }); n != 0 {
+		t.Fatalf("warm frame allocates %v times", n)
+	}
+}
+
+// TestReEncryptStreamWait checks the wait flag that tells a buffering
+// consumer when to flush: a warm stream never waits, so it can leave in
+// one write; a cold one waits before every pairing, so each frame can
+// reach the wire before the next pairing starts.
+func TestReEncryptStreamWait(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		_, cts, _, prk := batchFixture(t, 5)
+		waits := func() []bool {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			var out []bool
+			if err := ReEncryptStream(cts, prk, func(_ []byte, wait bool) error {
+				out = append(out, wait)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		cold := waits()
+		if workers == 1 && fmt.Sprint(cold) != "[true true true true false]" {
+			t.Fatalf("inline cold stream waits %v, want before every pairing", cold)
+		}
+		if warm := waits(); fmt.Sprint(warm) != "[false false false false false]" {
+			t.Fatalf("workers=%d: warm stream waits %v, want never", workers, warm)
+		}
 	}
 }

@@ -173,8 +173,8 @@ func ReEncrypt(ct *Ciphertext, rk *core.ReKey) (*ReCiphertext, error) {
 }
 
 // ReEncryptPrepared is ReEncrypt against a prepared proxy key: repeat
-// transformations of the same sealed record reuse the cached pairing
-// adjustment (see core.PreparedReKey). Outputs are identical to ReEncrypt's.
+// transformations of the same sealed record decode the cached c2′ (see
+// core.PreparedReKey). Outputs are identical to ReEncrypt's.
 func ReEncryptPrepared(ct *Ciphertext, prk *core.PreparedReKey) (*ReCiphertext, error) {
 	return reEncryptKEM(ct, prk.ReEncrypt)
 }

@@ -86,6 +86,32 @@ func (c *ReCiphertext) AppendTo(out []byte) []byte {
 	return appendChunk(out, c.Payload)
 }
 
+// AppendReEncrypted appends the encoding of ReEncryptPrepared(ct, prk),
+// exactly what its AppendTo appends, without building the struct: the
+// KEM comes from the prepared key's cache (core.PreparedReKey), so a hit
+// does no field arithmetic but c1's encoding and allocates nothing when
+// dst has room. A miss pays one pairing and caches it.
+func AppendReEncrypted(dst []byte, ct *Ciphertext, prk *core.PreparedReKey) ([]byte, error) {
+	if ct == nil || ct.KEM == nil {
+		return dst, ErrDecrypt
+	}
+	e, err := prk.Transform(ct.KEM)
+	if err != nil {
+		return dst, err
+	}
+	return appendReEncoded(dst, ct, prk, e), nil
+}
+
+// appendReEncoded is AppendReEncrypted from ct's re-encoding e.
+func appendReEncoded(dst []byte, ct *Ciphertext, prk *core.PreparedReKey, e *core.ReEncoding) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // the KEM chunk's length, set below
+	dst = prk.AppendReCiphertext(dst, ct.KEM, e)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	dst = appendChunk(dst, ct.Nonce)
+	return appendChunk(dst, ct.Payload)
+}
+
 // UnmarshalReCiphertext decodes a re-encrypted hybrid ciphertext.
 func UnmarshalReCiphertext(data []byte) (*ReCiphertext, error) {
 	kem, data, err := readChunk(data)

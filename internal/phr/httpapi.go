@@ -13,7 +13,6 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"typepre/internal/core"
@@ -156,6 +155,20 @@ type ServerMetrics struct {
 	Endpoints    []loadstat.EndpointStats `json:"endpoints"`
 	// Audit sizes each proxy's audit log, ordered by category.
 	Audit []AuditLogStats `json:"audit"`
+	// Cache counts each proxy's c2′ cache traffic, ordered by category.
+	Cache []CacheStats `json:"cache"`
+}
+
+// CacheStats counts one proxy's re-encryption cache traffic since it
+// started: records served from a grant's cache of finished c2′ encodings
+// (hits), records that paid a pairing (misses), and entries evicted from a
+// full cache.
+type CacheStats struct {
+	Category  Category `json:"category"`
+	Proxy     string   `json:"proxy"`
+	Hits      uint64   `json:"hits"`
+	Misses    uint64   `json:"misses"`
+	Evictions uint64   `json:"evictions"`
 }
 
 // AuditLogStats sizes one proxy's audit log: its entry count and the byte
@@ -180,8 +193,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for c, p := range s.svc.Proxies() {
 		entries, size := p.Audit().Size()
 		m.Audit = append(m.Audit, AuditLogStats{Category: c, Proxy: p.Name(), Entries: entries, Bytes: size})
+		hits, misses, evictions := p.cache.Counts()
+		m.Cache = append(m.Cache, CacheStats{Category: c, Proxy: p.Name(), Hits: hits, Misses: misses, Evictions: evictions})
 	}
 	slices.SortFunc(m.Audit, func(a, b AuditLogStats) int { return cmp.Compare(a.Category, b.Category) })
+	slices.SortFunc(m.Cache, func(a, b CacheStats) int { return cmp.Compare(a.Category, b.Category) })
 	buf, err := json.Marshal(m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -264,35 +280,8 @@ func (s *Server) handlePutRecord(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusCreated)
 }
 
-// framePool recycles the response-encoding buffers of the disclosure
-// handlers: one container (plus its optional length prefix) is marshaled
-// into a pooled buffer and written with a single Write, instead of
-// allocating a fresh container-sized slice per record and issuing two
-// writes per frame. Buffers grow to the largest container they have
-// carried and are reused across requests and goroutines.
-var framePool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-// writeContainer writes one marshaled container through the pool. With
-// prefix, the container is preceded by the 4-byte big-endian length the
-// bulk-stream framing uses.
-func writeContainer(w io.Writer, rct *hybrid.ReCiphertext, prefix bool) error {
-	bp := framePool.Get().(*[]byte)
-	b := (*bp)[:0]
-	if prefix {
-		b = append(b, 0, 0, 0, 0)
-	}
-	b = rct.AppendTo(b)
-	if prefix {
-		binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	}
-	_, err := w.Write(b)
-	*bp = b
-	framePool.Put(bp)
-	return err
-}
-
+// handleDisclose writes the one record's container straight from the
+// frame buffer of the disclosure engine.
 func (s *Server) handleDisclose(w http.ResponseWriter, r *http.Request) {
 	recordID := r.PathValue("id")
 	requester := r.URL.Query().Get("requester")
@@ -300,13 +289,16 @@ func (s *Server) handleDisclose(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing requester", http.StatusBadRequest)
 		return
 	}
-	rct, err := s.svc.Request(recordID, requester)
-	if err != nil {
+	wrote := false
+	err := s.svc.discloseRecord(recordID, requester, func(frame []byte, _ bool) error {
+		wrote = true
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, err := w.Write(frame[hybrid.FrameHeader:])
+		return err
+	})
+	if err != nil && !wrote {
 		httpError(w, err)
-		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	writeContainer(w, rct, false)
 }
 
 func (s *Server) handleDiscloseCategory(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +314,7 @@ func (s *Server) handleDiscloseCategory(w http.ResponseWriter, r *http.Request) 
 		httpError(w, err)
 		return
 	}
-	s.streamFrames(w, func(frame func(*hybrid.ReCiphertext) error) error {
+	s.streamFrames(w, func(frame func([]byte, bool) error) error {
 		return proxy.DiscloseCategoryStream(s.svc.Store, patient, category, requester, frame)
 	})
 }
@@ -344,31 +336,33 @@ func (s *Server) handleBreakGlass(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	s.streamFrames(w, func(frame func(*hybrid.ReCiphertext) error) error {
+	s.streamFrames(w, func(frame func([]byte, bool) error) error {
 		return proxy.BreakGlass(s.svc.Store, patient, CategoryEmergency, requester, reason, frame)
 	})
 }
 
-// streamFrames runs a bulk-disclosure producer, writing each container as
-// a length-prefixed frame as the worker pool finishes ordered items: the
-// server holds at most a pool's worth of containers at a time. Errors that
-// occur before the first frame (no grant, no records re-encryptable, no
-// reason) still map to clean HTTP statuses; after the first frame the
-// status line is already on the wire, so the only honest signal left is an
-// aborted connection, which the client decoder reports as a typed
-// truncation error.
-func (s *Server) streamFrames(w http.ResponseWriter, produce func(func(*hybrid.ReCiphertext) error) error) {
+// streamFrames runs a bulk-disclosure producer, writing its
+// length-prefixed frames as the engine emits them, and flushing only when
+// the next frame is not ready: a warm stream leaves in as few writes as
+// the response buffer allows, while a cold one puts each frame on the wire
+// before it waits for the next record's pairing. The server holds at most
+// a pool's worth of pairings at a time. Errors that occur before the first
+// frame (no grant, no records re-encryptable, no reason) still map to
+// clean HTTP statuses; after the first frame the status line is already
+// on the wire, so the only honest signal left is an aborted connection,
+// which the client decoder reports as a typed truncation error.
+func (s *Server) streamFrames(w http.ResponseWriter, produce func(func([]byte, bool) error) error) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
 	wrote := false
-	err := produce(func(rct *hybrid.ReCiphertext) error {
+	err := produce(func(frame []byte, wait bool) error {
 		// The first Write attempt commits the 200 status even if it fails
 		// partway, so flip wrote before touching the ResponseWriter.
 		wrote = true
-		if err := writeContainer(w, rct, true); err != nil {
+		if _, err := w.Write(frame); err != nil {
 			return err
 		}
-		if flusher != nil {
+		if wait && flusher != nil {
 			flusher.Flush()
 		}
 		return nil
@@ -597,7 +591,7 @@ var (
 // allocation of that size.
 func DecodeBulkStream(r io.Reader, yield func(*hybrid.ReCiphertext) error) error {
 	br := bufio.NewReader(r)
-	var prefix [4]byte
+	var prefix [hybrid.FrameHeader]byte
 	for frames := 0; ; frames++ {
 		if n, err := io.ReadFull(br, prefix[:]); err != nil {
 			// errors.Is, not ==: an io.Reader that wraps its transport's

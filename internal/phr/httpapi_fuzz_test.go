@@ -2,7 +2,6 @@ package phr
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"typepre/internal/hybrid"
@@ -43,12 +42,8 @@ func validBulkStream(f *testing.F) []byte {
 	}
 	var stream bytes.Buffer
 	err = proxy.DiscloseCategoryStream(svc.Store, alice.ID(), CategoryEmergency, "bob@bulkfuzz",
-		func(rct *hybrid.ReCiphertext) error {
-			b := rct.Marshal()
-			var prefix [4]byte
-			binary.BigEndian.PutUint32(prefix[:], uint32(len(b)))
-			stream.Write(prefix[:])
-			stream.Write(b)
+		func(frame []byte, _ bool) error {
+			stream.Write(frame)
 			return nil
 		})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -456,6 +457,102 @@ func TestHTTPMetricsAuditSize(t *testing.T) {
 		if st.Category == CategoryEmergency && st.Entries != 3 {
 			t.Fatalf("emergency audit entries = %d, want 3", st.Entries)
 		}
+	}
+}
+
+// TestHTTPMetricsCacheCounts checks the c2′ cache counters that
+// /v1/metrics serves per proxy: a first disclosure of a record counts a
+// miss, a repeat a hit, on the single-record and the stream path alike.
+func TestHTTPMetricsCacheCounts(t *testing.T) {
+	h := newHTTPScenario(t)
+	if err := h.client.PutRecord(h.sealRecord(t, "alice/r1", CategoryEmergency, []byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	rk, err := h.alice.Delegator().Delegate(h.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.client.InstallGrant(rk); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (hits, misses uint64) {
+		t.Helper()
+		m, err := h.client.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Cache) != len(h.svc.Proxies()) {
+			t.Fatalf("metrics count %d caches, want %d", len(m.Cache), len(h.svc.Proxies()))
+		}
+		for _, st := range m.Cache {
+			if st.Evictions != 0 || st.Category != CategoryEmergency && st.Hits+st.Misses != 0 {
+				t.Fatalf("unexpected cache traffic: %+v", st)
+			}
+			if st.Category == CategoryEmergency {
+				hits, misses = st.Hits, st.Misses
+			}
+		}
+		return hits, misses
+	}
+	if _, err := h.client.Disclose("alice/r1", "dr-bob@clinic.example"); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := counts(); hits != 0 || misses != 1 {
+		t.Fatalf("first disclose: hits %d, misses %d; want 0, 1", hits, misses)
+	}
+	if _, err := h.client.Disclose("alice/r1", "dr-bob@clinic.example"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.client.DiscloseCategory(h.alice.ID(), CategoryEmergency, "dr-bob@clinic.example"); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := counts(); hits != 2 || misses != 1 {
+		t.Fatalf("repeats: hits %d, misses %d; want 2, 1", hits, misses)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+// TestHTTPStreamFlushesOnlyToWait checks when the stream endpoint
+// flushes: before each pairing it must wait for on a cold stream (the
+// pool is one goroutine here, so before every record but the first), and
+// never on a warm one, which leaves in one write.
+func TestHTTPStreamFlushesOnlyToWait(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h := newHTTPScenario(t)
+	const n = 4
+	for i := 0; i < n; i++ {
+		if _, err := h.alice.AddRecord(h.svc.Store, CategoryEmergency, []byte{byte(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.svc.Grant(h.alice, h.kgc2.Params(), h.bobKey.ID, CategoryEmergency); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(h.svc)
+	stream := func() *flushCounter {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/v1/patients/"+h.alice.ID()+"/categories/"+string(CategoryEmergency)+"?requester="+h.bobKey.ID, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		frames := 0
+		if err := DecodeBulkStream(w.Body, func(*hybrid.ReCiphertext) error { frames++; return nil }); err != nil || frames != n {
+			t.Fatalf("decoded %d frames, err %v", frames, err)
+		}
+		return w
+	}
+	if cold := stream(); cold.flushes != n-1 {
+		t.Fatalf("cold stream flushed %d times, want %d", cold.flushes, n-1)
+	}
+	if warm := stream(); warm.flushes != 0 {
+		t.Fatalf("warm stream flushed %d times, want 0", warm.flushes)
 	}
 }
 

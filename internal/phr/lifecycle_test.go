@@ -63,7 +63,7 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 	if n := proxy.GrantCount(); n != 1 {
 		t.Fatalf("grant count = %d, want 1", n)
 	}
-	// Warm the prepared grant's pairing cache on every path.
+	// Warm the prepared grant's c2′ cache on every path.
 	for _, id := range ids {
 		if _, err := s.svc.Read(id, s.bobKey); err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 	}
 	yields := 0
 	err := proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
-		func(*hybrid.ReCiphertext) error { yields++; return nil })
+		func([]byte, bool) error { yields++; return nil })
 	if !errors.Is(err, ErrNoGrant) || yields != 0 {
 		t.Fatalf("stream path after revoke: err=%v yields=%d", err, yields)
 	}
@@ -98,6 +98,41 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 		t.Fatalf("no-grant audit entries = %d, want 4", n)
 	}
 	assertGapless(t, proxy.Audit().Entries())
+}
+
+// TestReinstallStartsWithEmptyCache checks that revocation drops the
+// grant's c2′ cache with it: the same rekey installed again pays a
+// pairing for a record the revoked grant had cached.
+func TestReinstallStartsWithEmptyCache(t *testing.T) {
+	s := newScenario(t)
+	rec, err := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("bt O−"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+		t.Fatal(err)
+	}
+	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
+	rk := proxy.CompromisedGrants()[0]
+	read := func(wantHits, wantMisses uint64) {
+		t.Helper()
+		if _, err := s.svc.Read(rec.ID, s.bobKey); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, _ := proxy.cache.Counts(); hits != wantHits || misses != wantMisses {
+			t.Fatalf("hits %d, misses %d; want %d, %d", hits, misses, wantHits, wantMisses)
+		}
+	}
+	read(0, 1)
+	read(1, 1)
+	if err := proxy.Revoke(rec.PatientID, CategoryEmergency, s.bobKey.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := proxy.Install(rk); err != nil {
+		t.Fatal(err)
+	}
+	read(1, 2)
+	read(2, 2)
 }
 
 func TestRevokeKillsInFlightStream(t *testing.T) {
@@ -118,7 +153,7 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 
 	yields := 0
 	err := proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
-		func(*hybrid.ReCiphertext) error {
+		func([]byte, bool) error {
 			yields++
 			if yields == 1 {
 				// The patient revokes while the stream is mid-flight.
@@ -165,7 +200,7 @@ func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
 	yields := 0
 	err := proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
-		func(*hybrid.ReCiphertext) error {
+		func([]byte, bool) error {
 			yields++
 			if yields == 1 {
 				if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {

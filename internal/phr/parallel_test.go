@@ -23,9 +23,10 @@ func bulkWorkload(t *testing.T, n int) (*Workload, *Proxy, string, string) {
 // discloseAll collects a category stream into a slice.
 func discloseAll(p *Proxy, store Backend, patientID string, c Category, requester string) ([]*hybrid.ReCiphertext, error) {
 	var out []*hybrid.ReCiphertext
-	err := p.DiscloseCategoryStream(store, patientID, c, requester, func(rct *hybrid.ReCiphertext) error {
+	err := p.DiscloseCategoryStream(store, patientID, c, requester, func(frame []byte, _ bool) error {
+		rct, err := decodeFrame(frame)
 		out = append(out, rct)
-		return nil
+		return err
 	})
 	return out, err
 }
@@ -97,7 +98,11 @@ func TestDiscloseCategoryStreamOrderAndAudit(t *testing.T) {
 
 	i := 0
 	err := proxy.DiscloseCategoryStream(w.Service.Store, patient, CategoryEmergency, requester,
-		func(rct *hybrid.ReCiphertext) error {
+		func(frame []byte, _ bool) error {
+			rct, err := decodeFrame(frame)
+			if err != nil {
+				return err
+			}
 			got, err := hybrid.DecryptReEncrypted(key, rct)
 			if err != nil {
 				return err
@@ -129,7 +134,7 @@ func TestDiscloseCategoryStreamOrderAndAudit(t *testing.T) {
 	before = proxy.Audit().Len()
 	stop := errors.New("client went away")
 	err = proxy.DiscloseCategoryStream(w.Service.Store, patient, CategoryEmergency, requester,
-		func(*hybrid.ReCiphertext) error { return stop })
+		func([]byte, bool) error { return stop })
 	if !errors.Is(err, stop) {
 		t.Fatalf("got %v, want the consumer error", err)
 	}

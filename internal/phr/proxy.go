@@ -41,6 +41,10 @@ type Proxy struct {
 
 	mu     sync.RWMutex
 	grants map[grantKey]*core.PreparedReKey // phrlint:guardedby mu
+
+	// cache counts the c2′ cache traffic of every grant this proxy has
+	// prepared; served by GET /v1/metrics.
+	cache core.CacheStats
 }
 
 // NewProxy creates a proxy with its own audit log.
@@ -58,7 +62,7 @@ func (p *Proxy) Audit() *AuditLog { return p.audit }
 // requests. The rekey's own metadata determines the (patient, category,
 // requester) triple, so a mislabeled installation is impossible. A rekey
 // for a newer rotation epoch of the same logical category replaces the
-// stale grant (and its prepared pairing cache) outright.
+// stale grant (and its c2′ cache) outright.
 func (p *Proxy) Install(rk *core.ReKey) error {
 	if rk == nil || rk.RK == nil {
 		return fmt.Errorf("phr: invalid rekey")
@@ -66,12 +70,12 @@ func (p *Proxy) Install(rk *core.ReKey) error {
 	k := grantKey{rk.DelegatorID, BaseCategory(rk.Type), rk.DelegateeID}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.grants[k] = core.PrepareReKey(rk)
+	p.grants[k] = core.PrepareReKeyCounted(rk, &p.cache)
 	return nil
 }
 
 // Revoke removes a grant. Returns ErrNoGrant when absent. Removal drops
-// the prepared rekey — and with it the cached pairing adjustments — so a
+// the prepared rekey — and with it the cached c2′ encodings — so a
 // revoked pair cannot be served from any warm cache, and any in-flight
 // streaming disclosure for the pair terminates before its next record.
 //
@@ -117,28 +121,39 @@ type disclosure struct {
 // Disclose re-encrypts one record toward the requester, enforcing the
 // grant table and writing an audit entry either way. This is the §5
 // on-demand disclosure path; the caller has already fetched the record
-// (Service.Request reads it once to route it to this proxy).
+// (Service.Request reads it once to route it to this proxy). It decodes
+// the container that discloseRecord serves.
 func (p *Proxy) Disclose(rec *EncryptedRecord, requester string) (*hybrid.ReCiphertext, error) {
 	var out *hybrid.ReCiphertext
-	err := p.disclose(disclosure{
-		patientID: rec.PatientID, category: rec.Category, requester: requester,
-		recordID: rec.ID, outcome: OutcomeGranted,
-	}, func() ([]*EncryptedRecord, error) { return []*EncryptedRecord{rec}, nil },
-		func(rct *hybrid.ReCiphertext) error { out = rct; return nil })
+	err := p.discloseRecord(rec, requester, func(frame []byte, _ bool) (err error) {
+		out, err = decodeFrame(frame)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// discloseRecord is Disclose yielding the record's wire frame (see
+// hybrid.ReEncryptStream) instead of decoding it.
+func (p *Proxy) discloseRecord(rec *EncryptedRecord, requester string, yield func(frame []byte, wait bool) error) error {
+	return p.disclose(disclosure{
+		patientID: rec.PatientID, category: rec.Category, requester: requester,
+		recordID: rec.ID, outcome: OutcomeGranted,
+	}, func() ([]*EncryptedRecord, error) { return []*EncryptedRecord{rec}, nil }, yield)
+}
+
 // DiscloseCategoryStream is the bulk-disclosure path (§5: "the PHR data
 // can be disclosed on demand by the proxy"): it re-encrypts every record
 // of (patient, category) toward the requester and calls yield once per
-// record in insertion order as results complete. Re-encryption fans out
-// across a bounded worker pool (hybrid.ReEncryptStream, sized by
-// GOMAXPROCS, sharing the prepared grant's pairing cache), so memory stays
-// bounded by the pool size, not the record count, and the HTTP layer can
-// stream frames to the wire as they are produced.
+// record, in insertion order, with its wire frame (hybrid.ReEncryptStream
+// documents the frame and the wait flag; the frame's buffer is reused
+// after yield returns). Records served from the grant's c2′ cache are
+// copied out on the calling goroutine; records that need a pairing fan out
+// across a bounded worker pool, so memory stays bounded by the pool size,
+// not the record count, and the HTTP layer writes frames to the wire as
+// they are produced.
 //
 // Revocation wins over an in-flight stream: before each record is
 // released, the grant is re-checked, and a pair revoked (or re-keyed)
@@ -147,7 +162,7 @@ func (p *Proxy) Disclose(rec *EncryptedRecord, requester string) (*hybrid.ReCiph
 //
 // One granted entry is audited per disclosed record; a denial or a failed
 // transformation is audited once.
-func (p *Proxy) DiscloseCategoryStream(store Backend, patientID string, c Category, requester string, yield func(*hybrid.ReCiphertext) error) error {
+func (p *Proxy) DiscloseCategoryStream(store Backend, patientID string, c Category, requester string, yield func(frame []byte, wait bool) error) error {
 	return p.disclose(disclosure{patientID: patientID, category: c, requester: requester, outcome: OutcomeGranted},
 		func() ([]*EncryptedRecord, error) { return store.ListByPatientCategory(patientID, c) }, yield)
 }
@@ -158,7 +173,7 @@ func (p *Proxy) DiscloseCategoryStream(store Backend, patientID string, c Catego
 // but every released record is audited with the distinguishable
 // OutcomeBreakGlass and the mandatory reason, and denials carry the reason
 // too, so an emergency access can never hide among routine disclosures.
-func (p *Proxy) BreakGlass(store Backend, patientID string, c Category, requester, reason string, yield func(*hybrid.ReCiphertext) error) error {
+func (p *Proxy) BreakGlass(store Backend, patientID string, c Category, requester, reason string, yield func(frame []byte, wait bool) error) error {
 	if reason == "" {
 		return ErrBreakGlassReason
 	}
@@ -170,9 +185,9 @@ func (p *Proxy) BreakGlass(store Backend, patientID string, c Category, requeste
 // checks the grant, and only then fetches the records, so a denied
 // request reads nothing from the store. It checks every record's sealed
 // epoch against the grant, re-encrypts through hybrid.ReEncryptStream
-// (inline for a single record), re-checks the grant before each release,
-// and audits each record after delivery.
-func (p *Proxy) disclose(d disclosure, fetch func() ([]*EncryptedRecord, error), yield func(*hybrid.ReCiphertext) error) error {
+// into wire frames, re-checks the grant before each release, and audits
+// each record after delivery.
+func (p *Proxy) disclose(d disclosure, fetch func() ([]*EncryptedRecord, error), yield func(frame []byte, wait bool) error) error {
 	audit := func(o Outcome, recordID string) {
 		p.audit.Append(AuditEntry{
 			Proxy: p.name, PatientID: d.patientID, RecordID: recordID,
@@ -202,7 +217,7 @@ func (p *Proxy) disclose(d disclosure, fetch func() ([]*EncryptedRecord, error),
 	next := 0
 	var yieldErr error // consumer rejection, not a transformation failure
 	revoked := false
-	err = hybrid.ReEncryptStream(cts, rk, func(rct *hybrid.ReCiphertext) error {
+	err = hybrid.ReEncryptStream(cts, rk, func(frame []byte, wait bool) error {
 		rec := recs[next]
 		next++
 		// Re-check liveness before the record leaves the proxy: a revoked
@@ -212,7 +227,7 @@ func (p *Proxy) disclose(d disclosure, fetch func() ([]*EncryptedRecord, error),
 			revoked = true
 			return fmt.Errorf("%w: %s/%s for %s (revoked mid-stream)", ErrNoGrant, d.patientID, d.category, d.requester)
 		}
-		if e := yield(rct); e != nil {
+		if e := yield(frame, wait); e != nil {
 			yieldErr = e
 			return e
 		}

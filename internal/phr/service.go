@@ -88,19 +88,39 @@ func (s *Service) Grant(p *Patient, requesterParams *ibe.Params, requesterID str
 
 // Request performs the full disclosure flow for one record: fetch it once,
 // route it to its category's proxy, re-encrypt, and return the transformed
-// ciphertext. The requester decrypts locally with their own key (the
-// service never holds requester keys). An unknown record is ErrNotFound
-// before any proxy sees the request, so it leaves no audit entry.
+// ciphertext, decoded from the frame the HTTP API serves. The requester
+// decrypts locally with their own key (the service never holds requester
+// keys). An unknown record is ErrNotFound before any proxy sees the
+// request, so it leaves no audit entry.
 func (s *Service) Request(recordID, requesterID string) (*hybrid.ReCiphertext, error) {
-	rec, err := s.Store.Get(recordID)
+	var out *hybrid.ReCiphertext
+	err := s.discloseRecord(recordID, requesterID, func(frame []byte, _ bool) (err error) {
+		out, err = decodeFrame(frame)
+		return err
+	})
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// discloseRecord is Request yielding the record's wire frame (see
+// hybrid.ReEncryptStream) instead of decoding it.
+func (s *Service) discloseRecord(recordID, requesterID string, yield func(frame []byte, wait bool) error) error {
+	rec, err := s.Store.Get(recordID)
+	if err != nil {
+		return err
 	}
 	proxy, err := s.ProxyFor(rec.Category)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return proxy.Disclose(rec, requesterID)
+	return proxy.discloseRecord(rec, requesterID, yield)
+}
+
+// decodeFrame decodes the container of one disclosure frame.
+func decodeFrame(frame []byte) (*hybrid.ReCiphertext, error) {
+	return hybrid.UnmarshalReCiphertext(frame[hybrid.FrameHeader:])
 }
 
 // Read is the requester-side convenience wrapper: request + decrypt.
@@ -125,9 +145,10 @@ func (s *Service) BreakGlass(patientID, requesterID, reason string) ([]*hybrid.R
 		return nil, err
 	}
 	var out []*hybrid.ReCiphertext
-	err = proxy.BreakGlass(s.Store, patientID, CategoryEmergency, requesterID, reason, func(rct *hybrid.ReCiphertext) error {
+	err = proxy.BreakGlass(s.Store, patientID, CategoryEmergency, requesterID, reason, func(frame []byte, _ bool) error {
+		rct, err := decodeFrame(frame)
 		out = append(out, rct)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -144,7 +165,11 @@ func (s *Service) ReadCategory(patientID string, c Category, requester *ibe.Priv
 		return nil, err
 	}
 	var out [][]byte
-	err = proxy.DiscloseCategoryStream(s.Store, patientID, c, requester.ID, func(rct *hybrid.ReCiphertext) error {
+	err = proxy.DiscloseCategoryStream(s.Store, patientID, c, requester.ID, func(frame []byte, _ bool) error {
+		rct, err := decodeFrame(frame)
+		if err != nil {
+			return err
+		}
 		body, err := hybrid.DecryptReEncrypted(requester, rct)
 		if err != nil {
 			return err

@@ -63,7 +63,7 @@ type BulkFixture struct {
 
 // NewBulkFixture materializes the corpus. Callers measuring the warm
 // serving path should run one disclosure first to populate the installed
-// grant's pairing cache.
+// grant's c2′ cache.
 func NewBulkFixture(records int) (*BulkFixture, error) {
 	cfg := DefaultWorkload()
 	cfg.Patients = 1
