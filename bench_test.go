@@ -274,19 +274,19 @@ func BenchmarkE2_Preenc_Prepared(b *testing.B) {
 }
 
 // BenchmarkE2_Preenc_Frame measures what a proxy does for a warm disclosure
-// of a sealed record with a 1 KiB payload: the container that goes on the
-// wire, appended from the prepared rekey's cache into a reused buffer.
+// of a sealed record with a 1 KiB payload: the wire frame that
+// hybrid.ReEncryptStream yields, served from the prepared rekey's cache.
 func BenchmarkE2_Preenc_Frame(b *testing.B) {
 	e := env(b)
-	ct := &hybrid.Ciphertext{KEM: e.ct, Nonce: make([]byte, 12), Payload: make([]byte, 1<<10)}
+	cts := []*hybrid.Ciphertext{{KEM: e.ct, Nonce: make([]byte, 12), Payload: make([]byte, 1<<10)}}
 	prk := core.PrepareReKey(e.rk)
-	frame, err := hybrid.AppendReEncrypted(nil, ct, prk) // warm the cache
-	if err != nil {
+	yield := func([]byte, bool) error { return nil }
+	if err := hybrid.ReEncryptStream(cts, prk, yield); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if frame, err = hybrid.AppendReEncrypted(frame[:0], ct, prk); err != nil {
+		if err := hybrid.ReEncryptStream(cts, prk, yield); err != nil {
 			b.Fatal(err)
 		}
 	}

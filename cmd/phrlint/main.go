@@ -1,10 +1,11 @@
 // Command phrlint is the repo's domain-specific static-analysis suite: a
-// multichecker over the five passes in internal/analysis/passes that
-// machine-check the crypto and service invariants the compiler cannot see
-// (docs/lint.md). It loads, parses and type-checks the named packages
-// plus their intra-module dependencies from source — no network, no
-// third-party modules — runs every pass, and exits non-zero on any
-// diagnostic.
+// multichecker over the six passes in internal/analysis/passes that
+// machine-check the crypto and service invariants the compiler cannot see,
+// and that every production function is reached from a binary or rooted
+// with a reason (docs/lint.md). It loads, parses and type-checks the whole
+// module, and the modules nested in it, from source once per GOARCH CI
+// builds — no network, no third-party modules — runs every pass over the
+// named packages, and exits non-zero on any diagnostic.
 //
 // Usage:
 //
@@ -66,17 +67,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	targets, all, err := analysis.LoadPackages(".", patterns)
+	prog, targets, err := analysis.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "phrlint:", err)
 		return 2
 	}
 
-	ann, malformed := analysis.HarvestAnnotations(all)
 	var diags []analysis.Diagnostic
-	diags = append(diags, malformed...)
 	for _, pkg := range targets {
-		d, err := analysis.RunPackage(pkg, ann, suite)
+		d, err := analysis.RunPackage(prog, pkg, suite)
 		if err != nil {
 			fmt.Fprintln(stderr, "phrlint:", err)
 			return 2

@@ -19,7 +19,7 @@ func serveDisk(t *testing.T, dir string) (*httptest.Server, *diskstore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return httptest.NewServer(phr.NewServer(phr.NewServiceWith(phr.StandardCategories(), store))), store
+	return httptest.NewServer(phr.NewServer(phr.NewService(phr.StandardCategories(), store))), store
 }
 
 // TestCrashDrill runs the drill in process: load a disk-backed server,
@@ -62,7 +62,7 @@ func TestCrashDrill(t *testing.T) {
 // the corpus upload but answers every load-phase put with 500: the load
 // phase must fail rather than leave the drill to pass on the corpus alone.
 func TestLoadFailsWhenPutsFail(t *testing.T) {
-	srv := phr.NewServer(phr.NewService(phr.StandardCategories()))
+	srv := phr.NewServer(phr.NewService(phr.StandardCategories(), phr.NewStore()))
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/records" &&
 			strings.HasPrefix(r.Header.Get(phr.HeaderRecordID), loadIDPrefix) {

@@ -81,7 +81,7 @@ func main() {
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	svc := phr.NewServiceWith(cats, backend)
+	svc := phr.NewService(cats, backend)
 	fmt.Printf("phrserver: %d category proxies:\n", len(cats))
 	for _, c := range cats {
 		p, _ := svc.ProxyFor(c)

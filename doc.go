@@ -46,4 +46,6 @@
 // SECURITY NOTE: the pairing arithmetic is not constant time (math/big).
 // The repository reproduces the paper's construction and its systems
 // behavior; it is not a hardened production cryptography library.
+//
+// phrlint:root the module's public API (README "Quick start")
 package typepre

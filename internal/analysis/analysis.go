@@ -7,9 +7,9 @@
 // printed — and those invariants deserve a machine check on every push,
 // not a reviewer's memory.
 //
-// The framework loads and type-checks packages (load.go), harvests the
-// repo's annotation directives (annotations.go), runs a set of Analyzers
-// over each package, and filters the resulting diagnostics through the
+// The framework loads and type-checks the module once per GOARCH CI builds
+// (load.go), harvests the repo's annotation directives (annotations.go),
+// runs a set of Analyzers over each package, and filters the resulting diagnostics through the
 // ignore directives parsed in this file. cmd/phrlint is the multichecker
 // CLI; internal/analysis/analysistest drives the same machinery over
 // testdata packages with // want expectations.
@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -46,11 +47,12 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Annotations indexes every phrlint directive harvested from all
-	// packages loaded in this run (not just the one under analysis), so
-	// passes can honor annotations on types and fields defined in
-	// dependency packages.
-	Annotations *Annotations
+	// Program is everything the run loaded. Its Annotations index every
+	// phrlint directive of every loaded package (not just the one under
+	// analysis), so passes can honor annotations on types and fields
+	// defined in dependency packages; whole-program passes analyse it and
+	// report on one package.
+	Program *Program
 
 	report func(Diagnostic)
 }
@@ -169,17 +171,23 @@ func (d *ignoreDirective) matches(diag Diagnostic) bool {
 	return false
 }
 
-// RunPackage applies every analyzer to pkg and returns the surviving
-// diagnostics: findings suppressed by a well-formed phrlint:ignore
-// directive are dropped, malformed directives and directives that suppress
-// nothing are reported, and the result is sorted by position.
-func RunPackage(pkg *Package, ann *Annotations, analyzers []*Analyzer) ([]Diagnostic, error) {
+// RunPackage applies every analyzer to pkg, one of prog's host-build
+// packages, and returns the surviving diagnostics: findings suppressed by
+// a well-formed phrlint:ignore directive are dropped, malformed directives
+// in pkg's files and directives that suppress nothing are reported, and
+// the result is sorted by position.
+func RunPackage(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var dirs []*ignoreDirective
 	var diags []Diagnostic
+	for _, d := range prog.Malformed {
+		if filepath.Dir(d.Pos.Filename) == pkg.Dir {
+			diags = append(diags, d)
+		}
+	}
 	for _, f := range pkg.Syntax {
 		d, malformed := parseIgnoreDirectives(pkg.Fset, f, known)
 		dirs = append(dirs, d...)
@@ -188,12 +196,12 @@ func RunPackage(pkg *Package, ann *Annotations, analyzers []*Analyzer) ([]Diagno
 
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:    a,
-			Fset:        pkg.Fset,
-			Files:       pkg.Syntax,
-			Pkg:         pkg.Types,
-			TypesInfo:   pkg.TypesInfo,
-			Annotations: ann,
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Syntax,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.TypesInfo,
+			Program:   prog,
 			report: func(d Diagnostic) {
 				for _, dir := range dirs {
 					if dir.matches(d) {

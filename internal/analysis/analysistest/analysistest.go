@@ -3,137 +3,55 @@
 // package of the same name on the standard library alone.
 //
 // Layout: testdata/src/<importpath>/*.go forms one package per directory.
-// Testdata packages may import each other by those paths (the loader
-// resolves them GOPATH-style under testdata/src) and anything from the
-// standard library. Every loaded package — including dependencies — feeds
-// directive harvesting, so a testdata package can annotate types and
-// fields exactly like production code.
+// Testdata packages may import each other by those paths (testdata is the
+// GOPATH) and anything from the standard library. Build constraints pick
+// the files of each GOARCH build, and _test.go files are not loaded, so a
+// testdata package can show what only a test calls. Every loaded package —
+// including dependencies — feeds directive harvesting, so a testdata
+// package can annotate types and fields exactly like production code.
 //
 // Expectations: a comment `// want "re1" "re2"` on a line asserts that
 // each regexp matches the message of a distinct diagnostic reported on
 // that line; any diagnostic not matched by an expectation, and any
 // expectation not matched by a diagnostic, fails the test.
+//
+// phrlint:root the test harness every phrlint pass's tests import
 package analysistest
 
 import (
-	"fmt"
-	"go/importer"
-	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
-	"strings"
 	"testing"
 
 	"typepre/internal/analysis"
 )
 
-// Run loads each named testdata package, applies the analyzer (with
-// ignore-directive filtering, so directive behavior is testable), and
-// checks diagnostics against // want comments.
+// Run loads each named testdata package for amd64, 386 and arm64, as the
+// go command does in GOPATH mode with testdata as GOPATH, applies the
+// analyzer to the host build (with ignore-directive filtering, so
+// directive behavior is testable), and checks diagnostics against // want
+// comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	ld := &loader{
-		root: filepath.Join(testdata, "src"),
-		fset: fset,
-		std:  importer.ForCompiler(fset, "gc", nil),
-		pkgs: map[string]*analysis.Package{},
+	gopath, err := filepath.Abs(testdata)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var targets []*analysis.Package
+	env := []string{"GO111MODULE=off", "GOPATH=" + gopath, "GOFLAGS="}
+	prog, err := analysis.LoadProgram(env, pkgPaths, gopath)
+	if err != nil {
+		t.Fatalf("loading testdata packages %v: %v", pkgPaths, err)
+	}
 	for _, path := range pkgPaths {
-		pkg, err := ld.load(path)
-		if err != nil {
-			t.Fatalf("loading testdata package %s: %v", path, err)
-		}
-		targets = append(targets, pkg)
-	}
-
-	var all []*analysis.Package
-	for _, p := range ld.pkgs {
-		all = append(all, p)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].PkgPath < all[j].PkgPath })
-	ann, malformed := analysis.HarvestAnnotations(all)
-
-	for _, pkg := range targets {
-		diags, err := analysis.RunPackage(pkg, ann, []*analysis.Analyzer{a})
+		pkg := prog.Builds[0].Package(path)
+		diags, err := analysis.RunPackage(prog, pkg, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkg.PkgPath, err)
-		}
-		for _, d := range malformed {
-			if pkgOwnsFile(pkg, d.Pos.Filename) {
-				diags = append(diags, d)
-			}
 		}
 		check(t, pkg, diags)
 	}
 }
-
-func pkgOwnsFile(pkg *analysis.Package, filename string) bool {
-	return filepath.Dir(filename) == pkg.Dir
-}
-
-// loader resolves testdata import paths GOPATH-style with memoization,
-// falling back to the toolchain's export data for the standard library.
-type loader struct {
-	root    string
-	fset    *token.FileSet
-	std     types.Importer
-	pkgs    map[string]*analysis.Package
-	loading map[string]bool
-}
-
-func (l *loader) load(path string) (*analysis.Package, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("import cycle through %s", path)
-	}
-	if l.loading == nil {
-		l.loading = map[string]bool{}
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	dir := filepath.Join(l.root, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	pkg, err := analysis.TypeCheck(l.fset, path, dir, files, importerFunc(func(imp string) (*types.Package, error) {
-		if _, err := os.Stat(filepath.Join(l.root, filepath.FromSlash(imp))); err == nil {
-			p, err := l.load(imp)
-			if err != nil {
-				return nil, err
-			}
-			return p.Types, nil
-		}
-		return l.std.Import(imp)
-	}))
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // expectation is one parsed want clause.
 type expectation struct {

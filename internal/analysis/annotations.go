@@ -3,8 +3,10 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
+	"strings"
 )
 
 // Annotations is the framework-wide index of phrlint source directives,
@@ -21,6 +23,9 @@ import (
 //
 //	// phrlint:locked mu — caller must hold mu.
 //	func (s *memBackend) collect(ids []string) []*Record { ... }
+//
+//	// phrlint:root pending Restart without amnesia
+//	func (p *Patient) RotateTypeKey(...) { ... } // unreachable: a root
 type Annotations struct {
 	// Secret marks type names whose values are key material: formatting or
 	// logging them (directly or embedded in a struct) is a secretprint
@@ -32,12 +37,22 @@ type Annotations struct {
 	// Locked maps a function to the mutex name its callers must hold;
 	// accesses to fields guarded by that mutex are sanctioned inside it.
 	Locked map[*types.Func]string
+	// Roots maps the position of a rooted declaration to the reason given
+	// by its root directive: a function's or method's name, or the package
+	// clause of a rooted package. The unreachable pass treats it
+	// as reached. Positions, unlike objects, are the same in every build.
+	Roots map[token.Position]string
 }
 
-var directiveRe = regexp.MustCompile(`^//\s*phrlint:(secret|guardedby|locked)\b[ \t]*([A-Za-z0-9_]*)`)
+var directiveRe = regexp.MustCompile(`^//\s*phrlint:(secret|guardedby|locked|root)\b[ \t]*(.*)$`)
+
+// identRe is the mutex name at the start of a guardedby or locked
+// argument; what follows it is commentary.
+var identRe = regexp.MustCompile(`^[A-Za-z0-9_]*`)
 
 // directiveIn scans the comment groups for a phrlint:secret/guardedby/
-// locked directive and returns its kind and argument.
+// locked/root directive and returns its kind and argument: the mutex name
+// for guardedby and locked, the reason for root.
 func directiveIn(groups ...*ast.CommentGroup) (kind, arg string, ok bool) {
 	for _, g := range groups {
 		if g == nil {
@@ -45,7 +60,10 @@ func directiveIn(groups ...*ast.CommentGroup) (kind, arg string, ok bool) {
 		}
 		for _, c := range g.List {
 			if m := directiveRe.FindStringSubmatch(c.Text); m != nil {
-				return m[1], m[2], true
+				if m[1] == "root" {
+					return m[1], strings.TrimSpace(m[2]), true
+				}
+				return m[1], identRe.FindString(m[2]), true
 			}
 		}
 	}
@@ -54,26 +72,35 @@ func directiveIn(groups ...*ast.CommentGroup) (kind, arg string, ok bool) {
 
 // HarvestAnnotations builds the directive index over every loaded package.
 // Malformed directives (guardedby/locked without a mutex name, guardedby
-// naming a mutex the struct does not have) are returned as diagnostics —
-// an annotation that silently binds to nothing would un-enforce the very
-// invariant it documents.
+// naming a mutex the struct does not have, root without a reason) are
+// returned as diagnostics — an annotation that silently binds to nothing
+// would un-enforce the very invariant it documents. A file loaded in
+// several builds is reported once.
 func HarvestAnnotations(pkgs []*Package) (*Annotations, []Diagnostic) {
 	ann := &Annotations{
 		Secret:    map[*types.TypeName]bool{},
 		GuardedBy: map[*types.Var]string{},
 		Locked:    map[*types.Func]string{},
+		Roots:     map[token.Position]string{},
 	}
 	var bad []Diagnostic
+	reported := map[token.Position]bool{}
 	report := func(pkg *Package, node ast.Node, format string, args ...any) {
+		pos := pkg.Fset.Position(node.Pos())
+		if reported[pos] {
+			return
+		}
+		reported[pos] = true
 		bad = append(bad, Diagnostic{
 			Analyzer: "phrlint",
-			Pos:      pkg.Fset.Position(node.Pos()),
+			Pos:      pos,
 			Message:  fmt.Sprintf(format, args...),
 		})
 	}
 
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Syntax {
+			harvestPackageRoot(pkg, file, ann, report)
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -81,16 +108,19 @@ func HarvestAnnotations(pkgs []*Package) (*Annotations, []Diagnostic) {
 					if !ok {
 						continue
 					}
-					if kind != "locked" {
-						report(pkg, d, "phrlint:%s directive is not valid on a function; want phrlint:locked", kind)
-						continue
-					}
-					if arg == "" {
+					switch {
+					case kind != "locked" && kind != "root":
+						report(pkg, d, "phrlint:%s directive is not valid on a function; want phrlint:locked or phrlint:root", kind)
+					case arg == "" && kind == "locked":
 						report(pkg, d, "phrlint:locked directive must name the mutex the caller holds")
-						continue
-					}
-					if fn, ok := pkg.TypesInfo.Defs[d.Name].(*types.Func); ok {
-						ann.Locked[fn] = arg
+					case arg == "":
+						report(pkg, d, "phrlint:root directive must carry a reason")
+					case kind == "root":
+						ann.Roots[pkg.Fset.Position(d.Name.Pos())] = arg
+					default:
+						if fn, ok := pkg.TypesInfo.Defs[d.Name].(*types.Func); ok {
+							ann.Locked[fn] = arg
+						}
 					}
 				case *ast.GenDecl:
 					harvestGenDecl(pkg, d, ann, report)
@@ -143,6 +173,20 @@ func harvestGenDecl(pkg *Package, d *ast.GenDecl, ann *Annotations, report func(
 				}
 			}
 		}
+	}
+}
+
+// harvestPackageRoot records a phrlint:root directive in the package
+// clause's doc comment, which roots the whole package.
+func harvestPackageRoot(pkg *Package, file *ast.File, ann *Annotations, report func(*Package, ast.Node, string, ...any)) {
+	switch kind, reason, ok := directiveIn(file.Doc); {
+	case !ok:
+	case kind != "root":
+		report(pkg, file.Doc, "phrlint:%s directive is not valid on a package clause; want phrlint:root", kind)
+	case reason == "":
+		report(pkg, file.Doc, "phrlint:root directive must carry a reason")
+	default:
+		ann.Roots[pkg.Fset.Position(file.Package)] = reason
 	}
 }
 

@@ -22,18 +22,6 @@ func Parents(file *ast.File) map[ast.Node]ast.Node {
 	return parents
 }
 
-// EnclosingFunc walks the parent map upward from n to the function
-// declaration or literal containing it, or nil at package level.
-func EnclosingFunc(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	for cur := parents[n]; cur != nil; cur = parents[cur] {
-		switch cur.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return cur
-		}
-	}
-	return nil
-}
-
 // EnclosingFuncDecl walks upward to the top-level function declaration
 // containing n, skipping over function literals, or nil at package level.
 func EnclosingFuncDecl(parents map[ast.Node]ast.Node, n ast.Node) *ast.FuncDecl {

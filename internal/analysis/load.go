@@ -5,12 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 )
 
 // A Package is one loaded, type-checked package: the unit a Pass runs
@@ -24,6 +29,46 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
+// archs are the GOARCHes CI builds. Whole-program passes see the union of
+// their builds, so a body only another GOARCH compiles (a portable
+// fallback for an assembly kernel) counts as code a binary reaches.
+var archs = []string{"amd64", "386", "arm64"}
+
+// A Build is the loaded code type-checked for one GOARCH.
+type Build struct {
+	Packages []*Package
+}
+
+// A Program is everything one run loaded: one Build per GOARCH, all
+// positioned in one FileSet, so a position means the same source in every
+// build, plus the annotations harvested from all of them.
+type Program struct {
+	Fset *token.FileSet
+	// Builds[0] is the host build, the one the per-package passes run
+	// over.
+	Builds      []*Build
+	Annotations *Annotations
+	// Malformed are the directives the harvest could not bind; RunPackage
+	// reports those in its package.
+	Malformed []Diagnostic
+
+	mu   sync.Mutex
+	memo map[any]any
+}
+
+// Memo returns what compute returns for key, calling it once per program:
+// a whole-program pass runs per package but analyses the program once.
+func (p *Program) Memo(key any, compute func() any) any {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	v, ok := p.memo[key]
+	if !ok {
+		v = compute()
+		p.memo[key] = v
+	}
+	return v
+}
+
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
@@ -33,10 +78,12 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-// goList runs the go command and decodes its JSON package stream.
-func goList(dir string, args ...string) ([]*listedPackage, error) {
+// goList runs the go command with env added to its environment and
+// decodes its JSON package stream.
+func goList(dir string, env []string, args ...string) ([]*listedPackage, error) {
 	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,GoFiles,Standard,Error"}, args...)...)
 	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
 	var out, errBuf bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errBuf
@@ -75,56 +122,117 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// LoadPackages loads, parses and type-checks the packages matching
-// patterns (plus, internally, their intra-module dependencies) rooted at
-// dir. Only non-test Go files are loaded: the invariants phrlint checks
-// are production invariants, and tests legitimately do things like seed
-// deterministic randomness. The returned slice contains only the packages
-// matching patterns, in dependency order; every loaded package (including
-// dependencies) is visible to directive harvesting via HarvestAnnotations.
-func LoadPackages(dir string, patterns []string) (targets []*Package, all []*Package, err error) {
-	targetList, err := goList(dir, patterns...)
+// Load loads the whole module containing dir, together with every module
+// nested inside it, and returns the program and the packages matching
+// patterns in its host build. Only non-test Go files are loaded: the
+// invariants phrlint checks are production invariants, and tests
+// legitimately do things like seed deterministic randomness.
+func Load(dir string, patterns []string) (prog *Program, targets []*Package, err error) {
+	listed, err := goList(dir, nil, patterns...)
 	if err != nil {
 		return nil, nil, err
 	}
-	isTarget := map[string]bool{}
-	for _, p := range targetList {
-		isTarget[p.ImportPath] = true
-	}
-
-	// -deps lists dependencies before dependents, so a single forward
-	// sweep type-checks every import before its importer needs it.
-	graph, err := goList(dir, append([]string{"-deps"}, patterns...)...)
+	dirs, err := moduleDirs(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		std:    importer.ForCompiler(fset, "gc", nil),
-		byPath: map[string]*types.Package{},
+	if prog, err = LoadProgram(nil, []string{"./..."}, dirs...); err != nil {
+		return nil, nil, err
 	}
-	for _, lp := range graph {
-		if lp.Standard {
-			continue
-		}
-		pkg, err := TypeCheck(fset, lp.ImportPath, lp.Dir, lp.GoFiles, imp)
-		if err != nil {
-			return nil, nil, err
-		}
-		imp.byPath[lp.ImportPath] = pkg.Types
-		all = append(all, pkg)
-		if isTarget[lp.ImportPath] {
-			targets = append(targets, pkg)
-		}
+	for _, lp := range listed {
+		targets = append(targets, prog.Builds[0].Package(lp.ImportPath))
 	}
-	return targets, all, nil
+	return prog, targets, nil
 }
 
-// TypeCheck parses the named files in dir and type-checks them as one
-// package, resolving imports through imp. It is the shared core of the
-// go-list loader above and the analysistest testdata loader.
-func TypeCheck(fset *token.FileSet, pkgPath, dir string, files []string, imp types.Importer) (*Package, error) {
+// LoadProgram type-checks, once per GOARCH in archs with the host's first,
+// every package that `go list -deps` lists for patterns in each of dirs,
+// dependencies first and each package once, with env added to the go
+// command's environment. The standard library's export data is the host
+// toolchain's in every build: its API does not vary by GOARCH in anything
+// the loaded code uses, and the type checker's sizes do follow each
+// build's GOARCH.
+func LoadProgram(env, patterns []string, dirs ...string) (*Program, error) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", nil)
+	host := build.Default.GOARCH
+	var builds []*Build
+	var all []*Package
+	for _, goarch := range append([]string{host}, archs...) {
+		if goarch == host && len(builds) > 0 {
+			continue
+		}
+		b := &Build{}
+		imp := &moduleImporter{std: std, byPath: map[string]*types.Package{}}
+		// -deps lists dependencies before dependents, and dirs puts the
+		// module before the modules nested in it that import it, so one
+		// forward sweep type-checks every import before its importer.
+		for _, dir := range dirs {
+			listed, err := goList(dir, append(env, "GOARCH="+goarch), append([]string{"-deps"}, patterns...)...)
+			if err != nil {
+				return nil, err
+			}
+			for _, lp := range listed {
+				if lp.Standard || imp.byPath[lp.ImportPath] != nil {
+					continue
+				}
+				pkg, err := typeCheck(fset, lp.ImportPath, lp.Dir, lp.GoFiles, imp, goarch)
+				if err != nil {
+					return nil, err
+				}
+				imp.byPath[lp.ImportPath] = pkg.Types
+				b.Packages = append(b.Packages, pkg)
+				all = append(all, pkg)
+			}
+		}
+		builds = append(builds, b)
+	}
+	ann, malformed := HarvestAnnotations(all)
+	return &Program{Fset: fset, Builds: builds, Annotations: ann, Malformed: malformed, memo: map[any]any{}}, nil
+}
+
+// Package returns the build's package with the import path, or nil.
+func (b *Build) Package(path string) *Package {
+	for _, p := range b.Packages {
+		if p.PkgPath == path {
+			return p
+		}
+	}
+	return nil
+}
+
+// moduleDirs returns the root directory of the module containing dir,
+// then every directory below it, outside testdata and hidden directories,
+// that holds a nested module. A nested module (a benchmark harness, say)
+// builds its own binaries from this module's packages, so what they call
+// counts as reached.
+func moduleDirs(dir string) ([]string, error) {
+	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -m: %w", err)
+	}
+	root := strings.TrimSpace(string(out))
+	dirs := []string{root}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.Name() == "go.mod" && filepath.Dir(path) != root:
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// typeCheck parses the named files in dir and type-checks them as one
+// package, resolving imports through imp; goarch sets the type checker's
+// sizes.
+func typeCheck(fset *token.FileSet, pkgPath, dir string, files []string, imp types.Importer, goarch string) (*Package, error) {
 	var syntax []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -138,10 +246,11 @@ func TypeCheck(fset *token.FileSet, pkgPath, dir string, files []string, imp typ
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", goarch)}
 	tpkg, err := conf.Check(pkgPath, fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", pkgPath, err)

@@ -47,7 +47,7 @@ type lockEvent struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if len(pass.Annotations.GuardedBy) == 0 {
+	if len(pass.Program.Annotations.GuardedBy) == 0 {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -67,7 +67,7 @@ func checkFunc(pass *analysis.Pass, parents map[ast.Node]ast.Node, fd *ast.FuncD
 	locks := collectLocks(pass, fd.Body)
 	var heldByCaller string
 	if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-		heldByCaller = pass.Annotations.Locked[fn]
+		heldByCaller = pass.Program.Annotations.Locked[fn]
 	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -83,7 +83,7 @@ func checkFunc(pass *analysis.Pass, parents map[ast.Node]ast.Node, fd *ast.FuncD
 		if !ok {
 			return true
 		}
-		mutex, guarded := pass.Annotations.GuardedBy[field]
+		mutex, guarded := pass.Program.Annotations.GuardedBy[field]
 		if !guarded {
 			return true
 		}

@@ -1,4 +1,4 @@
-// Package passes registers the phrlint analyzer suite: the five
+// Package passes registers the phrlint analyzer suite: the six
 // repo-specific checks that machine-enforce the crypto and service
 // invariants documented in docs/lint.md.
 package passes
@@ -10,6 +10,7 @@ import (
 	"typepre/internal/analysis/passes/secretprint"
 	"typepre/internal/analysis/passes/secretrand"
 	"typepre/internal/analysis/passes/sentinelcmp"
+	"typepre/internal/analysis/passes/unreachable"
 )
 
 // All returns the full phrlint suite in stable order.
@@ -20,5 +21,6 @@ func All() []*analysis.Analyzer {
 		errwrap.Analyzer,
 		lockdiscipline.Analyzer,
 		secretprint.Analyzer,
+		unreachable.Analyzer,
 	}
 }

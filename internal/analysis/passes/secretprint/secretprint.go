@@ -43,7 +43,7 @@ var printFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if len(pass.Annotations.Secret) == 0 {
+	if len(pass.Program.Annotations.Secret) == 0 {
 		return nil
 	}
 	memo := map[types.Type]bool{}
@@ -95,7 +95,7 @@ func isSecret(pass *analysis.Pass, memo map[types.Type]bool, t types.Type, seen 
 	secret := false
 	switch tt := t.(type) {
 	case *types.Named:
-		if pass.Annotations.Secret[tt.Obj()] {
+		if pass.Program.Annotations.Secret[tt.Obj()] {
 			secret = true
 		} else {
 			secret = isSecret(pass, memo, tt.Underlying(), seen)

@@ -17,6 +17,8 @@
 // levels (second-level messages are delegatable, first-level are private),
 // and a rekey converts ALL second-level ciphertexts — per-category
 // disclosure requires one key pair per category (experiment E5).
+//
+// phrlint:root a comparison scheme of README experiments E4, E5 and E8
 package afgh
 
 import (

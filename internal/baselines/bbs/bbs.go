@@ -14,6 +14,8 @@
 // ciphertext of the delegator — the all-or-nothing trust problem the paper
 // solves with types. It is also not collusion-safe: the proxy and the
 // delegatee can jointly compute a = b / rk.
+//
+// phrlint:root a comparison scheme of README experiments E4 and E8
 package bbs
 
 import (

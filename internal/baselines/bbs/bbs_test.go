@@ -1,6 +1,7 @@
 package bbs
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestEncryptDecrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(m) {
+	if !equalG1(got, m) {
 		t.Fatal("round trip failed")
 	}
 }
@@ -49,7 +50,7 @@ func TestWrongKeyFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Equal(m) {
+	if equalG1(got, m) {
 		t.Fatal("wrong key decrypted the message")
 	}
 }
@@ -75,12 +76,12 @@ func TestReEncryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(m) {
+	if !equalG1(got, m) {
 		t.Fatal("re-encryption round trip failed")
 	}
 	// Alice can no longer open the transformed ciphertext directly.
 	back, _ := Decrypt(alice.SK, rct)
-	if back.Equal(m) {
+	if equalG1(back, m) {
 		t.Fatal("delegator key still opens the re-encrypted ciphertext")
 	}
 }
@@ -112,7 +113,7 @@ func TestBidirectional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(m) {
+	if !equalG1(got, m) {
 		t.Fatal("bidirectional conversion failed")
 	}
 }
@@ -147,7 +148,7 @@ func TestRekeyConvertsAllCiphertexts(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _ := Decrypt(bob.SK, rct)
-		if !got.Equal(m) {
+		if !equalG1(got, m) {
 			t.Fatalf("ciphertext %d not converted", i)
 		}
 	}
@@ -167,3 +168,6 @@ func TestNilInputs(t *testing.T) {
 		t.Fatal("nil ciphertext accepted")
 	}
 }
+
+// equalG1 compares two G1 points by their canonical encodings.
+func equalG1(a, b *bn254.G1) bool { return bytes.Equal(a.Marshal(), b.Marshal()) }

@@ -16,6 +16,8 @@
 //     jointly recover the delegator's entire private key (Collude).
 //   - ALL-OR-NOTHING: the share pair converts every ciphertext of the
 //     delegator; no per-type granularity.
+//
+// phrlint:root a comparison scheme of README experiments E4 and E8
 package dodisivan
 
 import (

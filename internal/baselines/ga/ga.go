@@ -13,6 +13,8 @@
 // One rekey re-encrypts EVERY ciphertext of the delegator: per-category
 // disclosure requires trusting the proxy to filter, which is exactly the
 // trust assumption the paper removes.
+//
+// phrlint:root a comparison scheme of README experiment E4
 package ga
 
 import (

@@ -175,11 +175,6 @@ func (z *Element) IsZero() bool {
 	return z[0]|z[1]|z[2]|z[3] == 0
 }
 
-// IsOne reports whether z == 1. Constant time.
-func (z *Element) IsOne() bool {
-	return z.Equal(&one)
-}
-
 // Equal reports whether z == a. Constant time: representations are
 // canonical, so limb equality is field equality.
 func (z *Element) Equal(a *Element) bool {

@@ -1,18 +1,9 @@
 package bn254
 
-import (
-	"fmt"
-	"math/big"
-)
-
 // fp12 is an element of Fp12 = Fp6[ω]/(ω²−τ), stored as c0 + c1·ω.
 // The zero value is the field's zero element.
 type fp12 struct {
 	c0, c1 fp6
-}
-
-func (e *fp12) String() string {
-	return fmt.Sprintf("{%s; %s}", e.c0.String(), e.c1.String())
 }
 
 // Set assigns a to e and returns e.
@@ -28,19 +19,6 @@ func (e *fp12) SetOne() *fp12 {
 	e.c1.SetZero()
 	return e
 }
-
-// SetZero assigns 0 to e and returns e.
-func (e *fp12) SetZero() *fp12 {
-	e.c0.SetZero()
-	e.c1.SetZero()
-	return e
-}
-
-// IsZero reports whether e == 0.
-func (e *fp12) IsZero() bool { return e.c0.IsZero() && e.c1.IsZero() }
-
-// IsOne reports whether e == 1.
-func (e *fp12) IsOne() bool { return e.c0.IsOne() && e.c1.IsZero() }
 
 // Equal reports whether e == a.
 func (e *fp12) Equal(a *fp12) bool {
@@ -129,37 +107,6 @@ func (e *fp12) Frobenius(a *fp12) *fp12 {
 func (e *fp12) FrobeniusP2(a *fp12) *fp12 {
 	e.Frobenius(a)
 	return e.Frobenius(e)
-}
-
-// Exp sets e = a^k for non-negative k and returns e. Aliasing is allowed.
-// It is 4-bit fixed-window square-and-multiply on generic squarings, so it
-// is correct for every element of Fp12; GT.IsInSubgroup and the reference
-// hard part rely on that. Exponentiations of elements known to lie in the
-// cyclotomic subgroup use cyclotomicMultiExp instead.
-func (e *fp12) Exp(a *fp12, k *big.Int) *fp12 {
-	// Precompute a^0 .. a^15.
-	var table [16]fp12
-	table[0].SetOne()
-	table[1].Set(a)
-	for i := 2; i < 16; i++ {
-		table[i].Mul(&table[i-1], a)
-	}
-	var res fp12
-	res.SetOne()
-	bits := k.BitLen()
-	// Round up to a multiple of 4 and scan nibbles MSB→LSB.
-	top := (bits + 3) / 4 * 4
-	for i := top - 4; i >= 0; i -= 4 {
-		res.Square(&res)
-		res.Square(&res)
-		res.Square(&res)
-		res.Square(&res)
-		nib := k.Bit(i) | k.Bit(i+1)<<1 | k.Bit(i+2)<<2 | k.Bit(i+3)<<3
-		if nib != 0 {
-			res.Mul(&res, &table[nib])
-		}
-	}
-	return e.Set(&res)
 }
 
 // mulByLine sets e = a·l for the sparse line value

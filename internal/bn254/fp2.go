@@ -48,11 +48,6 @@ func (e *fp2) IsZero() bool {
 	return e.c0.IsZero() && e.c1.IsZero()
 }
 
-// IsOne reports whether e == 1.
-func (e *fp2) IsOne() bool {
-	return e.c0.IsOne() && e.c1.IsZero()
-}
-
 // Equal reports whether e == a.
 func (e *fp2) Equal(a *fp2) bool {
 	return e.c0.Equal(&a.c0) && e.c1.Equal(&a.c1)

@@ -1,8 +1,6 @@
 package bn254
 
 import (
-	"fmt"
-
 	"typepre/internal/bn254/fp"
 )
 
@@ -10,10 +8,6 @@ import (
 // with ξ = 9+i. The zero value is the field's zero element.
 type fp6 struct {
 	c0, c1, c2 fp2
-}
-
-func (e *fp6) String() string {
-	return fmt.Sprintf("[%s, %s, %s]", e.c0.String(), e.c1.String(), e.c2.String())
 }
 
 // Set assigns a to e and returns e.
@@ -34,16 +28,6 @@ func (e *fp6) SetOne() *fp6 {
 	e.c1.SetZero()
 	e.c2.SetZero()
 	return e
-}
-
-// IsZero reports whether e == 0.
-func (e *fp6) IsZero() bool {
-	return e.c0.IsZero() && e.c1.IsZero() && e.c2.IsZero()
-}
-
-// IsOne reports whether e == 1.
-func (e *fp6) IsOne() bool {
-	return e.c0.IsOne() && e.c1.IsZero() && e.c2.IsZero()
 }
 
 // Equal reports whether e == a.

@@ -26,24 +26,10 @@ func G1Generator() *G1 {
 	return &g
 }
 
-// G1Infinity returns the identity element of G1.
-func G1Infinity() *G1 { return &G1{inf: true} }
-
 // Set assigns a to p and returns p.
 func (p *G1) Set(a *G1) *G1 {
 	*p = *a
 	return p
-}
-
-// IsInfinity reports whether p is the identity.
-func (p *G1) IsInfinity() bool { return p.inf }
-
-// Equal reports whether p == q.
-func (p *G1) Equal(q *G1) bool {
-	if p.inf || q.inf {
-		return p.inf == q.inf
-	}
-	return p.x.Equal(&q.x) && p.y.Equal(&q.y)
 }
 
 // IsOnCurve reports whether p satisfies the curve equation (infinity counts
@@ -216,11 +202,4 @@ func (p *G1) Unmarshal(data []byte) error {
 		return errors.New("bn254: G1 point not on curve")
 	}
 	return nil
-}
-
-func (p *G1) String() string {
-	if p.inf {
-		return "G1(∞)"
-	}
-	return fmt.Sprintf("G1(%s, %s)", p.x.String(), p.y.String())
 }

@@ -71,17 +71,11 @@ func G2Generator() *G2 {
 	return &g
 }
 
-// G2Infinity returns the identity element of G2.
-func G2Infinity() *G2 { return &G2{inf: true} }
-
 // Set assigns a to p and returns p.
 func (p *G2) Set(a *G2) *G2 {
 	*p = *a
 	return p
 }
-
-// IsInfinity reports whether p is the identity.
-func (p *G2) IsInfinity() bool { return p.inf }
 
 // Equal reports whether p == q.
 func (p *G2) Equal(q *G2) bool {

@@ -10,17 +10,10 @@ import (
 
 // GT is an element of the order-r multiplicative subgroup of Fp12*, the
 // target group of the pairing. Elements returned by Pair, GT.Mul, GT.Exp
-// etc. are always in the subgroup; Unmarshal verifies field membership only
-// (use IsInSubgroup for the full, more expensive check).
+// etc. are always in the subgroup; Unmarshal verifies field membership
+// only, not subgroup membership.
 type GT struct {
 	v fp12
-}
-
-// GTOne returns the identity element of GT.
-func GTOne() *GT {
-	var g GT
-	g.v.SetOne()
-	return &g
 }
 
 // Set assigns a to g and returns g.
@@ -29,23 +22,12 @@ func (g *GT) Set(a *GT) *GT {
 	return g
 }
 
-// IsOne reports whether g is the identity.
-func (g *GT) IsOne() bool { return g.v.IsOne() }
-
 // Equal reports whether g == a.
 func (g *GT) Equal(a *GT) bool { return g.v.Equal(&a.v) }
 
 // Mul sets g = a·b and returns g.
 func (g *GT) Mul(a, b *GT) *GT {
 	g.v.Mul(&a.v, &b.v)
-	return g
-}
-
-// Inverse sets g = a⁻¹ and returns g. For subgroup elements the inverse is
-// the cheap conjugate a^(p⁶); we use the generic field inverse so that the
-// operation is correct for any nonzero input.
-func (g *GT) Inverse(a *GT) *GT {
-	g.v.Inverse(&a.v)
 	return g
 }
 
@@ -62,7 +44,7 @@ func (g *GT) Div(a, b *GT) *GT {
 // (split.go) and runs one width-4 signed-window multi-exponentiation on
 // cyclotomic squarings over a, a^p, a^(p²) and a^(p³). Both steps are
 // exact only because a is in GT, where the Frobenius is the power λ: for
-// an Unmarshal'ed value that fails IsInSubgroup the result is unspecified.
+// an Unmarshal'ed value outside GT the result is unspecified.
 func (g *GT) Exp(a *GT, k *big.Int) *GT {
 	var buf [4][1 << (gtExpWindow - 2)]fp12
 	tabs := [][]fp12{buf[0][:], buf[1][:], buf[2][:], buf[3][:]}
@@ -70,14 +52,6 @@ func (g *GT) Exp(a *GT, k *big.Int) *GT {
 	frobeniusTables(tabs)
 	g.v.cyclotomicMultiExp(tabs, split4.digits(k, gtExpWindow))
 	return g
-}
-
-// IsInSubgroup reports whether g^r == 1. It must judge elements outside
-// GT, so it runs the generic fp12.Exp rather than the cyclotomic one.
-func (g *GT) IsInSubgroup() bool {
-	var t fp12
-	t.Exp(&g.v, Order)
-	return t.IsOne()
 }
 
 // GTSize is the marshaled size of a GT element in bytes.
@@ -132,5 +106,3 @@ func (g *GT) Unmarshal(data []byte) error {
 	}
 	return nil
 }
-
-func (g *GT) String() string { return "GT" + g.v.String() }

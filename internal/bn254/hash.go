@@ -14,10 +14,9 @@ import (
 // on this package. Keeping them here guarantees that the oracles of
 // different protocol roles never collide.
 const (
-	DomainG1     = "typepre/bn254/hash-to-g1/v1"
-	DomainZr     = "typepre/bn254/hash-to-zr/v1"
-	DomainKDF    = "typepre/bn254/gt-kdf/v1"
-	DomainGTMask = "typepre/bn254/gt-mask/v1"
+	DomainG1  = "typepre/bn254/hash-to-g1/v1"
+	DomainZr  = "typepre/bn254/hash-to-zr/v1"
+	DomainKDF = "typepre/bn254/gt-kdf/v1"
 )
 
 // HashToG1 hashes an arbitrary message into G1 under the given domain tag

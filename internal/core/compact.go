@@ -14,6 +14,8 @@ import (
 // the E3 table's compact rows.
 
 // MarshalCompact encodes the ciphertext with a compressed C1.
+//
+// phrlint:root README E3 reports its size as ct_compact_bytes
 func (c *Ciphertext) MarshalCompact() []byte {
 	out := make([]byte, 0, bn254.G2CompressedSize+bn254.GTSize+4+len(c.Type))
 	out = append(out, c.C1.MarshalCompressed()...)
@@ -23,6 +25,8 @@ func (c *Ciphertext) MarshalCompact() []byte {
 }
 
 // UnmarshalCompactCiphertext decodes MarshalCompact output.
+//
+// phrlint:root the decoder of the encoding README E3 sizes as ct_compact_bytes
 func UnmarshalCompactCiphertext(data []byte) (*Ciphertext, error) {
 	if len(data) < bn254.G2CompressedSize+bn254.GTSize+4 {
 		return nil, fmt.Errorf("%w: compact ciphertext too short", ErrEncoding)
@@ -70,6 +74,8 @@ func ibeCiphertextFromCompact(data []byte) (*ibe.Ciphertext, error) {
 }
 
 // MarshalCompact encodes the rekey with compressed points throughout.
+//
+// phrlint:root README E3 reports its size as rekey_compact_bytes
 func (rk *ReKey) MarshalCompact() []byte {
 	encX := ibeCiphertextCompact(rk.EncX)
 	out := make([]byte, 0, 12+len(rk.Type)+len(rk.DelegatorID)+len(rk.DelegateeID)+bn254.G1CompressedSize+len(encX))
@@ -81,6 +87,8 @@ func (rk *ReKey) MarshalCompact() []byte {
 }
 
 // UnmarshalCompactReKey decodes MarshalCompact output.
+//
+// phrlint:root the decoder of the encoding README E3 sizes as rekey_compact_bytes
 func UnmarshalCompactReKey(data []byte) (*ReKey, error) {
 	t, data, err := readString(data)
 	if err != nil {

@@ -65,10 +65,6 @@ func NewDelegator(key *ibe.PrivateKey) *Delegator {
 // ID returns the delegator's identity string.
 func (d *Delegator) ID() string { return d.key.ID }
 
-// Key exposes the underlying IBE private key (used by the security games
-// and by callers that persist keys).
-func (d *Delegator) Key() *ibe.PrivateKey { return d.key }
-
 // typeExponent computes H2(sk_id‖t) ∈ Z*_r, the per-type exponent that
 // binds a ciphertext (and a proxy key) to one message category.
 func (d *Delegator) typeExponent(t Type) *big.Int {

@@ -265,7 +265,7 @@ func TestCacheEvictsOneEntry(t *testing.T) {
 		t.Skip("pays cacheLimit+1 pairings")
 	}
 	ct, rk, prk, stats := cacheFixture(t)
-	g := bn254.GTOne()
+	g := new(bn254.GT).Div(bn254.GTBase(), bn254.GTBase()) // 1
 	next := func() *Ciphertext {
 		g.Mul(g, bn254.GTBase())
 		return withC2(ct, g)

@@ -12,6 +12,8 @@
 // trivial adversaries have no advantage, (b) the constraints actually trip,
 // and (c) an adversary given illegitimate key material wins — i.e. the game
 // plumbing distinguishes broken schemes from intact ones.
+//
+// phrlint:root the security games README's package table lists; `go test ./internal/games` runs them against the scheme
 package games
 
 import (

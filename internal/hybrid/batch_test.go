@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"typepre/internal/core"
 )
@@ -102,13 +103,24 @@ func TestReEncryptBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestReEncryptStreamOrderAndBoundedWindow checks ordered emission and that
-// a slow consumer throttles dispatch instead of letting results pile up.
+// TestReEncryptStreamOrderAndBoundedWindow checks ordered emission and
+// that a slow consumer throttles dispatch instead of letting results pile
+// up: while the consumer holds frame 0, the pool pays at most the
+// documented look-ahead of pairings, 2×workers records past the emit
+// frontier plus the frame being emitted, however long the stream.
 func TestReEncryptStreamOrderAndBoundedWindow(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	const workers = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	f, cts, bodies, prk := batchFixture(t, 12)
+	var stats core.CacheStats
+	prk = core.PrepareReKeyCounted(prk.ReKey(), &stats)
 	seen := 0
 	err := ReEncryptStream(cts, prk, func(frame []byte, _ bool) error {
+		if seen == 0 {
+			if misses := settledMisses(&stats); misses > 2*workers+1 {
+				return fmt.Errorf("holding frame 0, the pool paid %d pairings; the look-ahead allows %d", misses, 2*workers+1)
+			}
+		}
 		rct, err := decodeFrame(frame)
 		if err != nil {
 			return err
@@ -129,6 +141,21 @@ func TestReEncryptStreamOrderAndBoundedWindow(t *testing.T) {
 	if seen != len(cts) {
 		t.Fatalf("yielded %d items, want %d", seen, len(cts))
 	}
+}
+
+// settledMisses waits until the miss count has not moved for 200 ms, so
+// the pool is idle, and returns it.
+func settledMisses(stats *core.CacheStats) uint64 {
+	_, last, _ := stats.Counts()
+	for still := 0; still < 10; {
+		time.Sleep(20 * time.Millisecond)
+		if _, misses, _ := stats.Counts(); misses != last {
+			last, still = misses, 0
+		} else {
+			still++
+		}
+	}
+	return last
 }
 
 // TestReEncryptStreamPropagatesErrors covers both failure sources: a bad
@@ -197,16 +224,20 @@ func TestReEncryptBatchConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestWarmFrameAllocatesNothing checks that a cache hit appended into a
-// buffer with room allocates nothing.
+// TestWarmFrameAllocatesNothing checks that a cache hit's frame
+// allocates nothing: a warm stream of 16 records allocates no more than a
+// warm stream of one, so what a stream allocates is per call, not per
+// frame.
 func TestWarmFrameAllocatesNothing(t *testing.T) {
-	_, cts, _, prk := batchFixture(t, 1)
-	buf, err := AppendReEncrypted(make([]byte, 0, 4096), cts[0], prk) // the miss
-	if err != nil {
+	_, cts, _, prk := batchFixture(t, 16)
+	yield := func([]byte, bool) error { return nil }
+	if err := ReEncryptStream(cts, prk, yield); err != nil { // the misses
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(50, func() { buf, _ = AppendReEncrypted(buf[:0], cts[0], prk) }); n != 0 {
-		t.Fatalf("warm frame allocates %v times", n)
+	one := testing.AllocsPerRun(50, func() { _ = ReEncryptStream(cts[:1], prk, yield) })
+	all := testing.AllocsPerRun(50, func() { _ = ReEncryptStream(cts, prk, yield) })
+	if all > one {
+		t.Fatalf("a warm stream of %d frames allocates %v times, of one frame %v", len(cts), all, one)
 	}
 }
 

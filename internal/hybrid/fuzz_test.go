@@ -76,11 +76,11 @@ func FuzzReCiphertextRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFrameVsReEncrypt pins the frame appender to the struct path: on a
-// cache miss and on the hit that follows, AppendReEncrypted appends
-// exactly the bytes of ReEncryptPrepared(ct, prk).AppendTo, which equal
-// those of the unprepared ReEncrypt, for any type label, delegatee
-// identity, nonce, payload and bytes already in dst.
+// FuzzFrameVsReEncrypt pins the served frame to the struct path: on a
+// cache miss and on the hit that follows, ReEncryptStream yields the
+// length prefix and exactly the bytes of ReEncryptPrepared(ct,
+// prk).AppendTo, which equal those of the unprepared ReEncrypt, for any
+// type label, delegatee identity, nonce and payload.
 func FuzzFrameVsReEncrypt(f *testing.F) {
 	kgc1, err := ibe.Setup("frame-fuzz-kgc1", nil)
 	if err != nil {
@@ -91,10 +91,10 @@ func FuzzFrameVsReEncrypt(f *testing.F) {
 		f.Fatal(err)
 	}
 	alice := core.NewDelegator(kgc1.Extract("alice@frame-fuzz"))
-	f.Add("emergency", "bob@clinic.example", []byte("123456789012"), []byte("record body"), []byte{})
-	f.Add("", "", []byte{}, []byte{}, []byte{1, 2, 3})
-	f.Add("t#e7", "dr/ü&x", []byte{0}, bytes.Repeat([]byte{0xa5}, 5000), bytes.Repeat([]byte{7}, 40))
-	f.Fuzz(func(t *testing.T, typ, delegatee string, nonce, payload, prefix []byte) {
+	f.Add("emergency", "bob@clinic.example", []byte("123456789012"), []byte("record body"))
+	f.Add("", "", []byte{}, []byte{})
+	f.Add("t#e7", "dr/ü&x", []byte{0}, bytes.Repeat([]byte{0xa5}, 5000))
+	f.Fuzz(func(t *testing.T, typ, delegatee string, nonce, payload []byte) {
 		m, err := bn254.RandomGT(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -116,13 +116,15 @@ func FuzzFrameVsReEncrypt(f *testing.F) {
 
 		prk := core.PrepareReKey(rk)
 		for _, pass := range []string{"miss", "hit"} {
-			dst := append([]byte(nil), prefix...)
-			got, err := AppendReEncrypted(dst, ct, prk)
-			if err != nil {
+			var got []byte
+			if err := ReEncryptStream([]*Ciphertext{ct}, prk, func(frame []byte, _ bool) error {
+				got = append(got, frame...)
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-				t.Fatalf("%s: frame differs from ReEncrypt's encoding", pass)
+			if _, err := decodeFrame(got); err != nil || !bytes.Equal(got[FrameHeader:], want) {
+				t.Fatalf("%s: frame differs from ReEncrypt's encoding (%v)", pass, err)
 			}
 			rct, err := ReEncryptPrepared(ct, prk)
 			if err != nil {

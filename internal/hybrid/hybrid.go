@@ -192,17 +192,6 @@ func Reseal(d *core.Delegator, ct *Ciphertext, newType core.Type, rng io.Reader)
 	return Encrypt(d, body, newType, rng)
 }
 
-// OpenWithKEMKey unseals a hybrid ciphertext given an explicitly recovered
-// KEM key: the path of an attacker who obtained the KEM key through
-// collusion rather than through a legitimate decryption. The PHR
-// blast-radius test opens records this way with recovered type keys.
-func OpenWithKEMKey(k *bn254.GT, ct *Ciphertext) ([]byte, error) {
-	if k == nil || ct == nil || ct.KEM == nil {
-		return nil, ErrDecrypt
-	}
-	return openPayload(k, aad(ct.KEM.Type, ct.KEM.C1), ct.Nonce, ct.Payload)
-}
-
 // DecryptReEncrypted opens a re-encrypted hybrid ciphertext with the
 // delegatee's KGC2 private key.
 func DecryptReEncrypted(sk *ibe.PrivateKey, rct *ReCiphertext) ([]byte, error) {

@@ -238,23 +238,6 @@ func TestSplicedKEMDetected(t *testing.T) {
 	}
 }
 
-func TestOpenWithKEMKey(t *testing.T) {
-	f := newFixture(t)
-	msg := []byte("kem key path")
-	ct, _ := Encrypt(f.alice, msg, "t", nil)
-	k, err := f.alice.Decrypt(ct.KEM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenWithKEMKey(k, ct)
-	if err != nil || !bytes.Equal(got, msg) {
-		t.Fatalf("OpenWithKEMKey failed: %v", err)
-	}
-	if _, err := OpenWithKEMKey(nil, ct); err == nil {
-		t.Fatal("nil key accepted")
-	}
-}
-
 // TestResealMovesCiphertextBetweenEpochs drives the owner-side primitive
 // behind category key rotation: a record resealed under the next epoch's
 // wire type still opens for the owner, is out of reach of every proxy key

@@ -86,23 +86,10 @@ func (c *ReCiphertext) AppendTo(out []byte) []byte {
 	return appendChunk(out, c.Payload)
 }
 
-// AppendReEncrypted appends the encoding of ReEncryptPrepared(ct, prk),
-// exactly what its AppendTo appends, without building the struct: the
-// KEM comes from the prepared key's cache (core.PreparedReKey), so a hit
-// does no field arithmetic but c1's encoding and allocates nothing when
-// dst has room. A miss pays one pairing and caches it.
-func AppendReEncrypted(dst []byte, ct *Ciphertext, prk *core.PreparedReKey) ([]byte, error) {
-	if ct == nil || ct.KEM == nil {
-		return dst, ErrDecrypt
-	}
-	e, err := prk.Transform(ct.KEM)
-	if err != nil {
-		return dst, err
-	}
-	return appendReEncoded(dst, ct, prk, e), nil
-}
-
-// appendReEncoded is AppendReEncrypted from ct's re-encoding e.
+// appendReEncoded appends the encoding of ReEncryptPrepared(ct, prk),
+// exactly what its AppendTo appends, from ct's re-encoding e without
+// building the struct: a cache hit does no field arithmetic but c1's
+// encoding and allocates nothing when dst has room.
 func appendReEncoded(dst []byte, ct *Ciphertext, prk *core.PreparedReKey, e *core.ReEncoding) []byte {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // the KEM chunk's length, set below

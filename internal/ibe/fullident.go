@@ -116,26 +116,3 @@ func (c *CCACiphertext) Marshal() []byte {
 	out = append(out, byte(len(c.C3)>>24), byte(len(c.C3)>>16), byte(len(c.C3)>>8), byte(len(c.C3)))
 	return append(out, c.C3...)
 }
-
-// UnmarshalCCACiphertext decodes a CCA ciphertext.
-func UnmarshalCCACiphertext(data []byte) (*CCACiphertext, error) {
-	if len(data) < bn254.G2Size+sigmaSize+4 {
-		return nil, fmt.Errorf("%w: cca ciphertext too short", ErrEncoding)
-	}
-	var c1 bn254.G2
-	if err := c1.Unmarshal(data[:bn254.G2Size]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	data = data[bn254.G2Size:]
-	c2 := make([]byte, sigmaSize)
-	copy(c2, data[:sigmaSize])
-	data = data[sigmaSize:]
-	n := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
-	body := data[4:]
-	if len(body) != n {
-		return nil, fmt.Errorf("%w: cca body length mismatch", ErrEncoding)
-	}
-	c3 := make([]byte, n)
-	copy(c3, body)
-	return &CCACiphertext{C1: &c1, C2: c2, C3: c3}, nil
-}

@@ -7,9 +7,6 @@
 //	Encrypt:  c = (g₂^r, m · ê(H1(id), pk)^r)
 //	Decrypt:  m = c2 / ê(sk_id, c1)
 //
-// The original Boneh–Franklin variant with bit-string messages
-// (c2 = m ⊕ H2(ê(H1(id), pk)^r)) is provided as EncryptBytes/DecryptBytes.
-//
 // The paper's symmetric pairing ê: G×G → G1 is instantiated with the
 // asymmetric ê: G1×G2 → GT; identities hash into G1 and the encryption
 // randomizer g^r lives in G2. Every algebraic identity of the scheme is
@@ -26,11 +23,8 @@ import (
 	"typepre/internal/bn254"
 )
 
-// Errors returned by this package.
-var (
-	ErrDecrypt        = errors.New("ibe: decryption failed")
-	ErrWrongRecipient = errors.New("ibe: private key does not match ciphertext recipient domain")
-)
+// ErrDecrypt reports a key or ciphertext that does not decrypt.
+var ErrDecrypt = errors.New("ibe: decryption failed")
 
 // Params holds the public parameters of one Key Generation Center: the
 // shared group description (implicit: the bn254 package) plus the KGC's
@@ -188,46 +182,4 @@ func Decrypt(sk *PrivateKey, ct *Ciphertext) (*bn254.GT, error) {
 	var m bn254.GT
 	m.Div(ct.C2, den)
 	return &m, nil
-}
-
-// ByteCiphertext is an original-variant Boneh–Franklin ciphertext where the
-// plaintext is a bit string masked by a hash of the pairing value.
-type ByteCiphertext struct {
-	C1 *bn254.G2
-	C2 []byte
-}
-
-// EncryptBytes encrypts an arbitrary byte message to an identity using the
-// original Boneh–Franklin masking c2 = m ⊕ H2(ê(H1(id), pk)^r).
-func EncryptBytes(params *Params, id string, msg []byte, rng io.Reader) (*ByteCiphertext, error) {
-	r, err := bn254.RandomScalar(rng)
-	if err != nil {
-		return nil, fmt.Errorf("ibe: encrypt bytes: %w", err)
-	}
-	var c1 bn254.G2
-	c1.ScalarBaseMult(r)
-
-	mask := params.EncryptionMask(id)
-	var sharedGT bn254.GT
-	sharedGT.Exp(mask, r)
-	pad := bn254.KDF(bn254.DomainGTMask, &sharedGT, len(msg))
-	c2 := make([]byte, len(msg))
-	for i := range msg {
-		c2[i] = msg[i] ^ pad[i]
-	}
-	return &ByteCiphertext{C1: &c1, C2: c2}, nil
-}
-
-// DecryptBytes recovers a byte message encrypted with EncryptBytes.
-func DecryptBytes(sk *PrivateKey, ct *ByteCiphertext) ([]byte, error) {
-	if sk == nil || sk.SK == nil || ct == nil || ct.C1 == nil {
-		return nil, ErrDecrypt
-	}
-	sharedGT := bn254.Pair(sk.SK, ct.C1)
-	pad := bn254.KDF(bn254.DomainGTMask, sharedGT, len(ct.C2))
-	msg := make([]byte, len(ct.C2))
-	for i := range ct.C2 {
-		msg[i] = ct.C2[i] ^ pad[i]
-	}
-	return msg, nil
 }

@@ -103,11 +103,11 @@ func TestExtractDeterministic(t *testing.T) {
 	kgc := setupKGC(t)
 	sk1 := kgc.Extract("alice@example.com")
 	sk2 := kgc.Extract("alice@example.com")
-	if !sk1.SK.Equal(sk2.SK) {
+	if !equalG1(sk1.SK, sk2.SK) {
 		t.Fatal("Extract not deterministic")
 	}
 	sk3 := kgc.Extract("bob@example.com")
-	if sk1.SK.Equal(sk3.SK) {
+	if equalG1(sk1.SK, sk3.SK) {
 		t.Fatal("distinct identities share a private key")
 	}
 }
@@ -120,49 +120,6 @@ func TestPrivateKeyConsistency(t *testing.T) {
 	rhs := bn254.Pair(PublicKeyOf("alice@example.com"), kgc.Params().PK)
 	if !lhs.Equal(rhs) {
 		t.Fatal("extracted key inconsistent with public parameters")
-	}
-}
-
-func TestEncryptDecryptBytes(t *testing.T) {
-	kgc := setupKGC(t)
-	sk := kgc.Extract("alice@example.com")
-	msg := []byte("patient record: blood pressure 120/80, pulse 67")
-
-	ct, err := EncryptBytes(kgc.Params(), "alice@example.com", msg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecryptBytes(sk, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("byte round trip failed")
-	}
-	// Wrong identity sees noise.
-	skBob := kgc.Extract("bob@example.com")
-	wrong, err := DecryptBytes(skBob, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(wrong, msg) {
-		t.Fatal("wrong identity recovered the bytes")
-	}
-}
-
-func TestEncryptBytesEmptyMessage(t *testing.T) {
-	kgc := setupKGC(t)
-	sk := kgc.Extract("alice@example.com")
-	ct, err := EncryptBytes(kgc.Params(), "alice@example.com", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecryptBytes(sk, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatal("empty message round trip failed")
 	}
 }
 
@@ -185,35 +142,6 @@ func TestCiphertextMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestByteCiphertextMarshalRoundTrip(t *testing.T) {
-	kgc := setupKGC(t)
-	sk := kgc.Extract("alice@example.com")
-	msg := []byte("hello world")
-	ct, err := EncryptBytes(kgc.Params(), "alice@example.com", msg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalByteCiphertext(ct.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecryptBytes(sk, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec, msg) {
-		t.Fatal("byte ciphertext round trip failed")
-	}
-	if _, err := UnmarshalByteCiphertext([]byte{1, 2, 3}); err == nil {
-		t.Fatal("accepted truncated byte ciphertext")
-	}
-	bad := ct.Marshal()
-	bad = bad[:len(bad)-1] // body shorter than the declared length
-	if _, err := UnmarshalByteCiphertext(bad); err == nil {
-		t.Fatal("accepted length mismatch")
-	}
-}
-
 func TestPrivateKeyMarshalRoundTrip(t *testing.T) {
 	kgc := setupKGC(t)
 	sk := kgc.Extract("alice@example.com")
@@ -221,7 +149,7 @@ func TestPrivateKeyMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != sk.ID || !got.SK.Equal(sk.SK) {
+	if got.ID != sk.ID || !equalG1(got.SK, sk.SK) {
 		t.Fatal("private key round trip mismatch")
 	}
 	if _, err := UnmarshalPrivateKey([]byte{0, 0}, kgc.Params()); err == nil {
@@ -253,9 +181,6 @@ func TestDecryptNilInputs(t *testing.T) {
 	if _, err := Decrypt(sk, nil); err == nil {
 		t.Fatal("nil ciphertext accepted")
 	}
-	if _, err := DecryptBytes(sk, nil); err == nil {
-		t.Fatal("nil byte ciphertext accepted")
-	}
 }
 
 func TestRestoreKGCReproducesKeys(t *testing.T) {
@@ -272,7 +197,7 @@ func TestRestoreKGCReproducesKeys(t *testing.T) {
 	}
 	a := kgc.Extract("alice@example.com")
 	b := restored.Extract("alice@example.com")
-	if !a.SK.Equal(b.SK) {
+	if !equalG1(a.SK, b.SK) {
 		t.Fatal("restored KGC extracts different keys")
 	}
 	// A key from the original decrypts a ciphertext made with restored
@@ -318,3 +243,6 @@ func TestParamsIsolationBetweenKGCs(t *testing.T) {
 		t.Fatal("two Setups produced the same master key")
 	}
 }
+
+// equalG1 compares two G1 points by their canonical encodings.
+func equalG1(a, b *bn254.G1) bool { return bytes.Equal(a.Marshal(), b.Marshal()) }

@@ -41,36 +41,6 @@ func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	return &Ciphertext{C1: &c1, C2: &c2}, nil
 }
 
-// Marshal encodes the byte-message ciphertext as C1‖len(C2)‖C2.
-func (c *ByteCiphertext) Marshal() []byte {
-	out := make([]byte, 0, bn254.G2Size+4+len(c.C2))
-	out = append(out, c.C1.Marshal()...)
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(c.C2)))
-	out = append(out, lenBuf[:]...)
-	out = append(out, c.C2...)
-	return out
-}
-
-// UnmarshalByteCiphertext decodes a ByteCiphertext produced by Marshal.
-func UnmarshalByteCiphertext(data []byte) (*ByteCiphertext, error) {
-	if len(data) < bn254.G2Size+4 {
-		return nil, fmt.Errorf("%w: byte ciphertext too short", ErrEncoding)
-	}
-	var c1 bn254.G2
-	if err := c1.Unmarshal(data[:bn254.G2Size]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	n := binary.BigEndian.Uint32(data[bn254.G2Size : bn254.G2Size+4])
-	body := data[bn254.G2Size+4:]
-	if uint32(len(body)) != n {
-		return nil, fmt.Errorf("%w: byte ciphertext body length mismatch", ErrEncoding)
-	}
-	c2 := make([]byte, n)
-	copy(c2, body)
-	return &ByteCiphertext{C1: &c1, C2: c2}, nil
-}
-
 // Marshal encodes the private key as len(ID)‖ID‖SK. KGC parameters are not
 // serialized with the key; callers reattach them on load.
 func (k *PrivateKey) Marshal() []byte {

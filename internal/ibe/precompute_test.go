@@ -76,7 +76,7 @@ func TestEncryptionMaskEviction(t *testing.T) {
 	// Shrink the effective limit by pre-filling the real map directly.
 	params.pre.mu.Lock()
 	for i := 0; i < maskCacheLimit; i++ {
-		params.pre.masks[fmt.Sprintf("filler-%d", i)] = bn254.GTOne()
+		params.pre.masks[fmt.Sprintf("filler-%d", i)] = bn254.GTBase()
 	}
 	params.pre.mu.Unlock()
 

@@ -27,12 +27,6 @@ const (
 	OutcomeBreakGlass Outcome = "break-glass"
 )
 
-// IsDenial reports whether the outcome records a refused or failed
-// disclosure (as opposed to content leaving the proxy).
-func (o Outcome) IsDenial() bool {
-	return o != OutcomeGranted && o != OutcomeBreakGlass
-}
-
 // AuditEntry records one disclosure attempt at a proxy.
 type AuditEntry struct {
 	// Seq is the entry's position in the proxy's log, assigned at append
@@ -155,36 +149,6 @@ func (l *AuditLog) Tail(n int) []AuditEntry {
 			// Only appendAuditEntry writes the arena, and FuzzAuditEntryJSON
 			// pins it to json.Marshal.
 			panic("phr: undecodable audit entry: " + err.Error())
-		}
-	}
-	return out
-}
-
-// Entries returns all entries in append order, decoded from the log.
-func (l *AuditLog) Entries() []AuditEntry { return l.Tail(0) }
-
-// ByRequester returns the entries for one requester, in order.
-func (l *AuditLog) ByRequester(requester string) []AuditEntry {
-	return l.filter(func(e *AuditEntry) bool { return e.Requester == requester })
-}
-
-// Denials returns the entries recording refused or failed disclosures.
-// Break-glass accesses are successful disclosures and are not denials;
-// find them with ByOutcome(OutcomeBreakGlass).
-func (l *AuditLog) Denials() []AuditEntry {
-	return l.filter(func(e *AuditEntry) bool { return e.Outcome.IsDenial() })
-}
-
-// ByOutcome returns the entries with the given outcome, in order.
-func (l *AuditLog) ByOutcome(o Outcome) []AuditEntry {
-	return l.filter(func(e *AuditEntry) bool { return e.Outcome == o })
-}
-
-func (l *AuditLog) filter(keep func(*AuditEntry) bool) []AuditEntry {
-	var out []AuditEntry
-	for _, e := range l.Entries() {
-		if keep(&e) {
-			out = append(out, e)
 		}
 	}
 	return out

@@ -18,7 +18,7 @@ func benchAuditEntry(i int) AuditEntry {
 // answers most: GET /v1/audit?limit=256 on a 4096-entry log, through the
 // full handler stack into an httptest.ResponseRecorder.
 func BenchmarkAuditTail256(b *testing.B) {
-	svc := NewService([]Category{CategoryEmergency})
+	svc := NewService([]Category{CategoryEmergency}, NewStore())
 	proxy, err := svc.ProxyFor(CategoryEmergency)
 	if err != nil {
 		b.Fatal(err)

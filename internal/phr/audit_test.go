@@ -57,7 +57,7 @@ func TestAuditSeqStrictlyOrderedUnderConcurrentAppends(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	entries := log.Entries()
+	entries := log.Tail(0)
 	if len(entries) != writers*perWriter {
 		t.Fatalf("entries = %d, want %d", len(entries), writers*perWriter)
 	}
@@ -70,7 +70,7 @@ func TestAuditDenialOnEveryErrorPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
@@ -82,33 +82,33 @@ func TestAuditDenialOnEveryErrorPath(t *testing.T) {
 		outcome Outcome
 	}{
 		{"unknown requester", func() error {
-			_, err := s.svc.Read(rec.ID, s.eveKey)
+			_, err := readRecord(s.svc, rec.ID, s.eveKey)
 			return err
 		}, OutcomeNoGrant},
 		{"rotated-away key", func() error {
 			if _, err := s.alice.RotateTypeKey(s.svc.Store, CategoryEmergency, nil); err != nil {
 				return fmt.Errorf("rotate: %w", err)
 			}
-			_, err := s.svc.Read(rec.ID, s.bobKey)
+			_, err := readRecord(s.svc, rec.ID, s.bobKey)
 			if !errors.Is(err, ErrStaleGrant) {
 				return fmt.Errorf("want ErrStaleGrant, got %v", err)
 			}
 			return err
 		}, OutcomeStaleGrant},
 		{"revoked", func() error {
-			if err := s.alice.Revoke(proxy, s.bobKey.ID, CategoryEmergency); err != nil {
+			if err := revoke(s.alice, proxy, s.bobKey.ID, CategoryEmergency); err != nil {
 				return fmt.Errorf("revoke: %w", err)
 			}
-			_, err := s.svc.Read(rec.ID, s.bobKey)
+			_, err := readRecord(s.svc, rec.ID, s.bobKey)
 			return err
 		}, OutcomeNoGrant},
 	}
 	for _, step := range steps {
-		before := len(proxy.Audit().Denials())
+		before := len(denials(proxy.Audit()))
 		if err := step.act(); err == nil {
 			t.Fatalf("%s: expected an error", step.name)
 		}
-		denials := proxy.Audit().Denials()
+		denials := denials(proxy.Audit())
 		if len(denials) != before+1 {
 			t.Fatalf("%s: denials %d → %d, want exactly one new entry", step.name, before, len(denials))
 		}
@@ -116,12 +116,13 @@ func TestAuditDenialOnEveryErrorPath(t *testing.T) {
 			t.Fatalf("%s: denial outcome = %s, want %s", step.name, got, step.outcome)
 		}
 	}
-	assertStrictlyOrdered(t, proxy.Audit().Entries())
+	assertStrictlyOrdered(t, proxy.Audit().Tail(0))
 }
 
 func TestAuditViewsConsistentUnderConcurrency(t *testing.T) {
-	// ByRequester and Denials must be consistent snapshots while writers
-	// append: no torn reads, and the final views partition the log.
+	// Tail snapshots, and the per-requester and denial views filtered from
+	// them, must be consistent while writers append: no torn reads, and
+	// the final views partition the log.
 	log := NewAuditLog()
 	requesters := []string{"a", "b", "c"}
 	outcomes := []Outcome{OutcomeGranted, OutcomeNoGrant, OutcomeBreakGlass, OutcomeStaleGrant}
@@ -137,10 +138,10 @@ func TestAuditViewsConsistentUnderConcurrency(t *testing.T) {
 					return
 				default:
 					for _, req := range requesters {
-						log.ByRequester(req)
+						byRequester(log, req)
 					}
-					log.Denials()
-					log.Entries()
+					denials(log)
+					log.Tail(0)
 				}
 			}
 		}()
@@ -170,7 +171,7 @@ func TestAuditViewsConsistentUnderConcurrency(t *testing.T) {
 	// The per-requester views partition the log and preserve order.
 	sum := 0
 	for _, req := range requesters {
-		view := log.ByRequester(req)
+		view := byRequester(log, req)
 		sum += len(view)
 		assertStrictlyOrdered(t, view)
 	}
@@ -178,8 +179,8 @@ func TestAuditViewsConsistentUnderConcurrency(t *testing.T) {
 		t.Fatalf("ByRequester views cover %d entries, want %d", sum, total)
 	}
 	// Denials + successful disclosures account for every entry.
-	granted := len(log.ByOutcome(OutcomeGranted)) + len(log.ByOutcome(OutcomeBreakGlass))
-	if got := len(log.Denials()) + granted; got != total {
+	granted := len(byOutcome(log, OutcomeGranted)) + len(byOutcome(log, OutcomeBreakGlass))
+	if got := len(denials(log)) + granted; got != total {
 		t.Fatalf("denials+successes = %d, want %d", got, total)
 	}
 }

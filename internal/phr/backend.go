@@ -52,8 +52,6 @@ type Backend interface {
 	Count() int
 	// Patients returns the sorted patient IDs with at least one record.
 	Patients() []string
-	// Categories returns the sorted distinct categories of a patient.
-	Categories(patientID string) []Category
 	// Close flushes and releases the backend. Every acknowledged write
 	// must be durable (per the backend's sync policy) when Close returns;
 	// using the backend afterwards returns ErrStorage.

@@ -30,6 +30,8 @@ type ExposureReport struct {
 }
 
 // Fraction returns exposed/total (0 when the store is empty).
+//
+// phrlint:root README E6 reports it as exposed_fraction
 func (r *ExposureReport) Fraction() float64 {
 	if r.TotalRecords == 0 {
 		return 0
@@ -43,6 +45,8 @@ func (r *ExposureReport) Fraction() float64 {
 // corrupted proxy holds a grant for its (patient, category) pair —
 // precisely what the recovered type keys open (Theorem 1; the blast-radius
 // test verifies it cryptographically).
+//
+// phrlint:root README E6 (BenchmarkE6_BlastRadius_TypePRE)
 func SimulateTypePREBreach(store Backend, corrupted []*Proxy) *ExposureReport {
 	// Keyed by the *sealed* wire type (category + rotation epoch), not the
 	// logical category: a rekey for an old epoch opens nothing that has
@@ -61,6 +65,8 @@ func SimulateTypePREBreach(store Backend, corrupted []*Proxy) *ExposureReport {
 // SimulateTraditionalPREBreach computes the exposure of the same corruption
 // under a type-less PRE deployment: any grant from a patient exposes ALL of
 // that patient's records.
+//
+// phrlint:root README E6 (BenchmarkE6_BlastRadius_Traditional)
 func SimulateTraditionalPREBreach(store Backend, corrupted []*Proxy) *ExposureReport {
 	exposedPatients := map[string]bool{}
 	for _, p := range corrupted {

@@ -27,6 +27,8 @@ import (
 //
 // Compact holds the write lock for its duration — reads and writes stall.
 // Call it from an operational window, not a request path.
+//
+// phrlint:root pending Restart without amnesia (ROADMAP)
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

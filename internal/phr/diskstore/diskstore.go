@@ -84,13 +84,6 @@ const (
 	FsyncInterval
 )
 
-func (m FsyncMode) String() string {
-	if m == FsyncAlways {
-		return "always"
-	}
-	return "interval"
-}
-
 // ParseFsyncMode parses the phrserver flag form ("always", "interval").
 func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
@@ -563,6 +556,8 @@ func (s *Store) Get(id string) (*phr.EncryptedRecord, error) {
 }
 
 // Delete removes a record by ID, appending a tombstone.
+//
+// phrlint:root pending Restart without amnesia (ROADMAP)
 func (s *Store) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -628,13 +623,6 @@ func (s *Store) Patients() []string {
 	return s.records.Patients()
 }
 
-// Categories returns the sorted distinct categories of a patient.
-func (s *Store) Categories(patientID string) []phr.Category {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.records.Categories(patientID)
-}
-
 // Close flushes the active segment and releases every file handle. After
 // Close every method fails with phr.ErrStorage.
 func (s *Store) Close() error {
@@ -687,8 +675,5 @@ func (s *Store) Stats() Stats {
 		Recovery:     s.recovery,
 	}
 }
-
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
 
 var _ io.Closer = (*Store)(nil)

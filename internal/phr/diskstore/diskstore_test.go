@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -138,8 +139,8 @@ func TestCRUDRoundTripAcrossReopen(t *testing.T) {
 	if ps := s2.Patients(); len(ps) != 2 || ps[0] != "alice" || ps[1] != "bob" {
 		t.Fatalf("Patients = %v", ps)
 	}
-	if cs := s2.Categories("alice"); len(cs) != 2 {
-		t.Fatalf("Categories = %v", cs)
+	if listed[0].Category == listed[1].Category {
+		t.Fatalf("categories lost: both records are %s", listed[0].Category)
 	}
 	if recs, err := s2.ListByPatient("bob"); err != nil || len(recs) != 1 {
 		t.Fatalf("ListByPatient(bob) = %d records (err %v)", len(recs), err)
@@ -412,6 +413,25 @@ func TestSustains100kRecords(t *testing.T) {
 // generated into a disk backend, disclosed through the service, then the
 // backend is restarted and the records disclose identically (grants are
 // in-proxy state and are re-installed, as after a real server restart).
+// readCategory discloses every record of (patient, category) through the
+// service's HTTP API and decrypts each with the requester's key.
+func readCategory(t *testing.T, svc *phr.Service, patientID string, c phr.Category, key *ibe.PrivateKey) [][]byte {
+	t.Helper()
+	ts := httptest.NewServer(phr.NewServer(svc))
+	defer ts.Close()
+	client := &phr.Client{Base: ts.URL, HTTP: ts.Client()}
+	var out [][]byte
+	err := client.DiscloseCategoryStream(patientID, c, key.ID, func(rct *hybrid.ReCiphertext) error {
+		body, err := hybrid.DecryptReEncrypted(key, rct)
+		out = append(out, body)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestServiceOverDiskBackend(t *testing.T) {
 	dir := t.TempDir()
 	backend := openT(t, dir, Options{})
@@ -427,10 +447,7 @@ func TestServiceOverDiskBackend(t *testing.T) {
 	}
 	g := w.Grants[0]
 	key := w.Requesters[g.RequesterID]
-	before, err := w.Service.ReadCategory(g.PatientID, g.Category, key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := readCategory(t, w.Service, g.PatientID, g.Category, key)
 	if err := backend.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -442,20 +459,21 @@ func TestServiceOverDiskBackend(t *testing.T) {
 	if backend2.Count() != len(w.Records) {
 		t.Fatalf("restart lost records: %d, want %d", backend2.Count(), len(w.Records))
 	}
-	svc2 := phr.NewServiceWith(cfg.Categories, backend2)
+	svc2 := phr.NewService(cfg.Categories, backend2)
 	var patient *phr.Patient
 	for _, p := range w.Patients {
 		if p.ID() == g.PatientID {
 			patient = p
 		}
 	}
-	if err := svc2.Grant(patient, w.KGC2.Params(), g.RequesterID, g.Category); err != nil {
-		t.Fatal(err)
-	}
-	after, err := svc2.ReadCategory(g.PatientID, g.Category, key)
+	proxy, err := svc2.ProxyFor(g.Category)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := patient.Grant(proxy, w.KGC2.Params(), g.RequesterID, g.Category, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := readCategory(t, svc2, g.PatientID, g.Category, key)
 	if len(after) != len(before) {
 		t.Fatalf("disclosed %d records after restart, want %d", len(after), len(before))
 	}

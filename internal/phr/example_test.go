@@ -7,9 +7,27 @@ import (
 	"maps"
 	"slices"
 
+	"typepre/internal/hybrid"
 	"typepre/internal/ibe"
 	"typepre/internal/phr"
 )
+
+// readCategory streams every record of (patient, category) through proxy,
+// as phrserver's bulk-disclosure route does, and decrypts each frame with
+// the requester's key.
+func readCategory(store phr.Backend, proxy *phr.Proxy, patientID string, c phr.Category, requester *ibe.PrivateKey) ([][]byte, error) {
+	var out [][]byte
+	err := proxy.DiscloseCategoryStream(store, patientID, c, requester.ID, func(frame []byte, _ bool) error {
+		rct, err := hybrid.UnmarshalReCiphertext(frame[hybrid.FrameHeader:])
+		if err != nil {
+			return err
+		}
+		body, err := hybrid.DecryptReEncrypted(requester, rct)
+		out = append(out, body)
+		return err
+	})
+	return out, err
+}
 
 // ExampleService replays the paper's Section 5 scenario end to end: Alice
 // sorts her Personal Health Record into three privacy levels (illness
@@ -29,7 +47,7 @@ func ExampleService() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc := phr.NewService(phr.StandardCategories())
+	svc := phr.NewService(phr.StandardCategories(), phr.NewStore())
 	alice := phr.NewPatient(kgc1, "alice@phr.example")
 
 	// 1. Alice categorizes and stores her PHR.
@@ -47,35 +65,50 @@ func ExampleService() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("Alice stores %d encrypted records in %d categories\n",
-		svc.Store.Count(), len(svc.Store.Categories(alice.ID())))
+	records, err := svc.Store.ListByPatient(alice.ID())
+	if err != nil {
+		log.Fatal(err)
+	}
+	categories := map[phr.Category]bool{}
+	for _, r := range records {
+		categories[r.Category] = true
+	}
+	fmt.Printf("Alice stores %d encrypted records in %d categories\n", svc.Store.Count(), len(categories))
 
 	// 2. Her GP gets the illness history and her dietician the food
 	// statistics: one proxy and one rekey per category.
+	illnessProxy, err := svc.ProxyFor(phr.CategoryIllnessHistory)
+	if err != nil {
+		log.Fatal(err)
+	}
+	foodProxy, err := svc.ProxyFor(phr.CategoryFoodStatistics)
+	if err != nil {
+		log.Fatal(err)
+	}
 	gpKey := kgc2.Extract("gp@practice.example")
 	dieticianKey := kgc2.Extract("dietician@wellness.example")
-	if err := svc.Grant(alice, kgc2.Params(), "gp@practice.example", phr.CategoryIllnessHistory); err != nil {
+	if err := alice.Grant(illnessProxy, kgc2.Params(), gpKey.ID, phr.CategoryIllnessHistory, nil); err != nil {
 		log.Fatal(err)
 	}
-	if err := svc.Grant(alice, kgc2.Params(), "dietician@wellness.example", phr.CategoryFoodStatistics); err != nil {
+	if err := alice.Grant(foodProxy, kgc2.Params(), dieticianKey.ID, phr.CategoryFoodStatistics, nil); err != nil {
 		log.Fatal(err)
 	}
-	bodies, err := svc.ReadCategory(alice.ID(), phr.CategoryIllnessHistory, gpKey)
+	bodies, err := readCategory(svc.Store, illnessProxy, alice.ID(), phr.CategoryIllnessHistory, gpKey)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("GP reads %d illness-history records; first: %q\n", len(bodies), bodies[0])
-	_, err = svc.ReadCategory(alice.ID(), phr.CategoryIllnessHistory, dieticianKey)
+	_, err = readCategory(svc.Store, illnessProxy, alice.ID(), phr.CategoryIllnessHistory, dieticianKey)
 	fmt.Println("dietician denied illness history:", errors.Is(err, phr.ErrNoGrant))
 
-	// 3. Alice travels to the US and deploys a local emergency proxy.
+	// 3. Alice travels to the US and stands up a local emergency proxy
+	// over the same store.
 	usProxy := phr.NewProxy("proxy-us-east")
-	svc.DeployProxy(phr.CategoryEmergency, usProxy)
 	erKey := kgc2.Extract("er-doc@us-hospital.example")
-	if err := svc.Grant(alice, kgc2.Params(), "er-doc@us-hospital.example", phr.CategoryEmergency); err != nil {
+	if err := alice.Grant(usProxy, kgc2.Params(), erKey.ID, phr.CategoryEmergency, nil); err != nil {
 		log.Fatal(err)
 	}
-	emergencies, err := svc.ReadCategory(alice.ID(), phr.CategoryEmergency, erKey)
+	emergencies, err := readCategory(svc.Store, usProxy, alice.ID(), phr.CategoryEmergency, erKey)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,10 +124,17 @@ func ExampleService() {
 
 	// 5. Every disclosure above left an audit trail.
 	proxies := svc.Proxies()
+	proxies[phr.CategoryEmergency] = usProxy
 	for _, c := range slices.Sorted(maps.Keys(proxies)) {
 		if a := proxies[c].Audit(); a.Len() > 0 {
+			denials := 0
+			for _, e := range a.Tail(0) {
+				if e.Outcome != phr.OutcomeGranted {
+					denials++
+				}
+			}
 			fmt.Printf("audit[%s @ %s]: %d entries, %d denials\n",
-				c, proxies[c].Name(), a.Len(), len(a.Denials()))
+				c, proxies[c].Name(), a.Len(), denials)
 		}
 	}
 	// Output:

@@ -319,8 +319,8 @@ func (s *Server) handleDiscloseCategory(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// handleBreakGlass is the wire form of Service.BreakGlass: emergency bulk
-// disclosure through the responder's standing emergency grant, streamed
+// handleBreakGlass is the wire form of Proxy.BreakGlass on the emergency
+// proxy: bulk disclosure through the responder's standing grant, streamed
 // with the same framing as the category endpoint. The mandatory reason
 // rides in the query; its absence is a 400 before any audit traffic.
 func (s *Server) handleBreakGlass(w http.ResponseWriter, r *http.Request) {
@@ -463,6 +463,8 @@ type Client struct {
 }
 
 // NewClient returns a client for the given base URL (no trailing slash).
+//
+// phrlint:root pending the reference model (ROADMAP), which drives phr.Client
 func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: http.DefaultClient}
 }
@@ -626,6 +628,8 @@ func DecodeBulkStream(r io.Reader, yield func(*hybrid.ReCiphertext) error) error
 // records toward a pre-authorized responder, streaming containers to yield
 // as frames arrive. The reason is mandatory (400 without it) and lands in
 // the audit log with every released record.
+//
+// phrlint:root pending the reference model (ROADMAP), which drives phr.Client
 func (c *Client) BreakGlass(patient, requester, reason string, yield func(*hybrid.ReCiphertext) error) error {
 	q := url.Values{"requester": {requester}, "reason": {reason}}
 	u := fmt.Sprintf("%s/v1/patients/%s/breakglass?%s",
@@ -660,6 +664,8 @@ func (c *Client) Metrics() (*ServerMetrics, error) {
 }
 
 // DiscloseCategory is DiscloseCategoryStream collected into a slice.
+//
+// phrlint:root pending the reference model (ROADMAP), which drives phr.Client
 func (c *Client) DiscloseCategory(patient string, category Category, requester string) ([]*hybrid.ReCiphertext, error) {
 	var out []*hybrid.ReCiphertext
 	err := c.DiscloseCategoryStream(patient, category, requester, func(rct *hybrid.ReCiphertext) error {
@@ -673,6 +679,8 @@ func (c *Client) DiscloseCategory(patient string, category Category, requester s
 }
 
 // Audit fetches a proxy's audit entries.
+//
+// phrlint:root pending the reference model (ROADMAP), which drives phr.Client
 func (c *Client) Audit(category Category) ([]AuditEntry, error) {
 	q := url.Values{"category": {string(category)}}
 	req, err := http.NewRequest("GET", c.Base+"/v1/audit?"+q.Encode(), nil)

@@ -26,14 +26,14 @@ func validBulkStream(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	svc := NewService([]Category{CategoryEmergency})
+	svc := NewService([]Category{CategoryEmergency}, NewStore())
 	alice := NewPatient(kgc1, "alice@bulkfuzz")
 	for _, b := range [][]byte{[]byte("frame one"), []byte("frame two")} {
 		if _, err := alice.AddRecord(svc.Store, CategoryEmergency, b, nil); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := svc.Grant(alice, kgc2.Params(), "bob@bulkfuzz", CategoryEmergency); err != nil {
+	if err := grantAt(svc, alice, kgc2.Params(), "bob@bulkfuzz", CategoryEmergency); err != nil {
 		f.Fatal(err)
 	}
 	proxy, err := svc.ProxyFor(CategoryEmergency)

@@ -203,7 +203,7 @@ func TestHTTPHostileIdentifiersRoundTrip(t *testing.T) {
 	hostilePatient := "pat ient/№1&x+y@phr"
 	hostileReq := "dr bob/?&#+@clinic"
 
-	svc := NewService([]Category{hostileCat})
+	svc := NewService([]Category{hostileCat}, NewStore())
 	ts := httptest.NewServer(NewServer(svc))
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL)
@@ -532,7 +532,7 @@ func TestHTTPStreamFlushesOnlyToWait(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.svc.Grant(h.alice, h.kgc2.Params(), h.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(h.svc, h.alice, h.kgc2.Params(), h.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(h.svc)

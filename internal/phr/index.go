@@ -86,17 +86,3 @@ func (x *RecordIndex) Patients() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Categories returns the sorted distinct categories of one patient.
-func (x *RecordIndex) Categories(patientID string) []Category {
-	p := x.patients[patientID]
-	if p == nil {
-		return []Category{}
-	}
-	out := make([]Category, 0, len(p.byCat))
-	for c := range p.byCat {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

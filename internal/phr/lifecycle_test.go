@@ -36,7 +36,7 @@ func sameBodies(got, want [][]byte) error {
 // returns want, in insertion order.
 func assertBodies(t *testing.T, s *scenario, c Category, requester *ibe.PrivateKey, want [][]byte) {
 	t.Helper()
-	got, err := s.svc.ReadCategory(s.alice.ID(), c, requester)
+	got, err := readCategory(s.svc, s.alice.ID(), c, requester)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,35 +56,35 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 		}
 		ids = append(ids, rec.ID)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
-	if n := proxy.GrantCount(); n != 1 {
+	if n := grantCount(proxy); n != 1 {
 		t.Fatalf("grant count = %d, want 1", n)
 	}
 	// Warm the prepared grant's c2′ cache on every path.
 	for _, id := range ids {
-		if _, err := s.svc.Read(id, s.bobKey); err != nil {
+		if _, err := readRecord(s.svc, id, s.bobKey); err != nil {
 			t.Fatal(err)
 		}
 	}
 	assertBodies(t, s, CategoryEmergency, s.bobKey, bodies)
 
-	if err := s.alice.Revoke(proxy, s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := revoke(s.alice, proxy, s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
-	if n := proxy.GrantCount(); n != 0 {
+	if n := grantCount(proxy); n != 0 {
 		t.Fatalf("grant count after revoke = %d, want 0", n)
 	}
 	// The warm cache must be unreachable on every disclosure path.
-	if _, err := s.svc.Read(ids[0], s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readRecord(s.svc, ids[0], s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("serial path after revoke: want ErrNoGrant, got %v", err)
 	}
-	if _, err := s.svc.ReadCategory(s.alice.ID(), CategoryEmergency, s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readCategory(s.svc, s.alice.ID(), CategoryEmergency, s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("bulk path after revoke: want ErrNoGrant, got %v", err)
 	}
-	if _, err := s.svc.BreakGlass(s.alice.ID(), s.bobKey.ID, "unconscious on arrival"); !errors.Is(err, ErrNoGrant) {
+	if _, err := breakGlass(s.svc, s.alice.ID(), s.bobKey.ID, "unconscious on arrival"); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("break-glass path after revoke: want ErrNoGrant, got %v", err)
 	}
 	yields := 0
@@ -94,10 +94,10 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 		t.Fatalf("stream path after revoke: err=%v yields=%d", err, yields)
 	}
 	// One denial per refused path.
-	if n := len(proxy.Audit().ByOutcome(OutcomeNoGrant)); n != 4 {
+	if n := len(byOutcome(proxy.Audit(), OutcomeNoGrant)); n != 4 {
 		t.Fatalf("no-grant audit entries = %d, want 4", n)
 	}
-	assertGapless(t, proxy.Audit().Entries())
+	assertGapless(t, proxy.Audit().Tail(0))
 }
 
 // TestReinstallStartsWithEmptyCache checks that revocation drops the
@@ -109,14 +109,14 @@ func TestReinstallStartsWithEmptyCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
 	rk := proxy.CompromisedGrants()[0]
 	read := func(wantHits, wantMisses uint64) {
 		t.Helper()
-		if _, err := s.svc.Read(rec.ID, s.bobKey); err != nil {
+		if _, err := readRecord(s.svc, rec.ID, s.bobKey); err != nil {
 			t.Fatal(err)
 		}
 		if hits, misses, _ := proxy.cache.Counts(); hits != wantHits || misses != wantMisses {
@@ -143,11 +143,11 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
-	if n := proxy.GrantCount(); n != 1 {
+	if n := grantCount(proxy); n != 1 {
 		t.Fatalf("grant count = %d, want 1", n)
 	}
 
@@ -157,7 +157,7 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 			yields++
 			if yields == 1 {
 				// The patient revokes while the stream is mid-flight.
-				if err := s.alice.Revoke(proxy, s.bobKey.ID, CategoryEmergency); err != nil {
+				if err := revoke(s.alice, proxy, s.bobKey.ID, CategoryEmergency); err != nil {
 					t.Errorf("mid-stream revoke: %v", err)
 				}
 			}
@@ -169,20 +169,20 @@ func TestRevokeKillsInFlightStream(t *testing.T) {
 	if yields != 1 {
 		t.Fatalf("stream released %d records after revocation, want 1", yields)
 	}
-	if n := proxy.GrantCount(); n != 0 {
+	if n := grantCount(proxy); n != 0 {
 		t.Fatalf("grant count after revoke = %d, want 0", n)
 	}
 	// Audit: exactly one granted entry (the delivered record) and one
 	// denial for the terminated stream.
 	log := proxy.Audit()
-	if got := len(log.ByOutcome(OutcomeGranted)); got != 1 {
+	if got := len(byOutcome(log, OutcomeGranted)); got != 1 {
 		t.Fatalf("granted audit entries = %d, want 1", got)
 	}
-	denials := log.Denials()
+	denials := denials(log)
 	if len(denials) != 1 || denials[0].Outcome != OutcomeNoGrant {
 		t.Fatalf("denials = %+v, want one no-grant entry", denials)
 	}
-	assertGapless(t, log.Entries())
+	assertGapless(t, log.Tail(0))
 }
 
 func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
@@ -194,7 +194,7 @@ func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
@@ -203,7 +203,7 @@ func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
 		func([]byte, bool) error {
 			yields++
 			if yields == 1 {
-				if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+				if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 					t.Errorf("mid-stream re-grant: %v", err)
 				}
 			}
@@ -216,7 +216,7 @@ func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
 	if _, err := discloseAll(proxy, s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); err != nil {
 		t.Fatal(err)
 	}
-	assertGapless(t, proxy.Audit().Entries())
+	assertGapless(t, proxy.Audit().Tail(0))
 }
 
 func TestRotateTypeKeyLifecycle(t *testing.T) {
@@ -230,7 +230,7 @@ func TestRotateTypeKeyLifecycle(t *testing.T) {
 		}
 		ids = append(ids, rec.ID)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryMedication); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryMedication); err != nil {
 		t.Fatal(err)
 	}
 	assertBodies(t, s, CategoryMedication, s.bobKey, want)
@@ -259,18 +259,18 @@ func TestRotateTypeKeyLifecycle(t *testing.T) {
 	}
 	// The pre-rotation grant is dead on both paths, audited as stale.
 	proxy, _ := s.svc.ProxyFor(CategoryMedication)
-	if _, err := s.svc.Read(ids[0], s.bobKey); !errors.Is(err, ErrStaleGrant) {
+	if _, err := readRecord(s.svc, ids[0], s.bobKey); !errors.Is(err, ErrStaleGrant) {
 		t.Fatalf("serial path on stale grant: want ErrStaleGrant, got %v", err)
 	}
 	if _, err := discloseAll(proxy, s.svc.Store, s.alice.ID(), CategoryMedication, s.bobKey.ID); !errors.Is(err, ErrStaleGrant) {
 		t.Fatalf("bulk path on stale grant: want ErrStaleGrant, got %v", err)
 	}
-	if got := len(proxy.Audit().ByOutcome(OutcomeStaleGrant)); got != 2 {
+	if got := len(byOutcome(proxy.Audit(), OutcomeStaleGrant)); got != 2 {
 		t.Fatalf("stale-grant audit entries = %d, want 2", got)
 	}
 	// The owner still reads everything.
 	for i, id := range ids {
-		got, err := s.alice.ReadOwn(s.svc.Store, id)
+		got, err := readOwn(s.alice, s.svc.Store, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,14 +280,14 @@ func TestRotateTypeKeyLifecycle(t *testing.T) {
 	}
 	// A fresh grant replaces the stale one and discloses the same
 	// plaintexts.
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryMedication); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryMedication); err != nil {
 		t.Fatal(err)
 	}
-	if got := proxy.GrantCount(); got != 1 {
+	if got := grantCount(proxy); got != 1 {
 		t.Fatalf("grant count after re-grant = %d, want 1 (stale grant replaced)", got)
 	}
 	assertBodies(t, s, CategoryMedication, s.bobKey, want)
-	assertGapless(t, proxy.Audit().Entries())
+	assertGapless(t, proxy.Audit().Tail(0))
 }
 
 func TestBreakGlassLifecycle(t *testing.T) {
@@ -303,16 +303,16 @@ func TestBreakGlassLifecycle(t *testing.T) {
 	}
 	// The responder holds a standing emergency grant — break-glass cannot
 	// conjure access that was never delegated.
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
-	if n := proxy.GrantCount(); n != 1 {
+	if n := grantCount(proxy); n != 1 {
 		t.Fatalf("grant count = %d, want 1", n)
 	}
 
 	// A reason is mandatory, and its absence leaks nothing.
-	if _, err := s.svc.BreakGlass(s.alice.ID(), s.bobKey.ID, ""); !errors.Is(err, ErrBreakGlassReason) {
+	if _, err := breakGlass(s.svc, s.alice.ID(), s.bobKey.ID, ""); !errors.Is(err, ErrBreakGlassReason) {
 		t.Fatalf("break-glass without reason: want ErrBreakGlassReason, got %v", err)
 	}
 	if proxy.Audit().Len() != 0 {
@@ -320,7 +320,7 @@ func TestBreakGlassLifecycle(t *testing.T) {
 	}
 
 	const reason = "cardiac arrest, ER admission #4711"
-	rcts, err := s.svc.BreakGlass(s.alice.ID(), s.bobKey.ID, reason)
+	rcts, err := breakGlass(s.svc, s.alice.ID(), s.bobKey.ID, reason)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestBreakGlassLifecycle(t *testing.T) {
 	}
 	// Every released record carries the distinguishable outcome and the
 	// reason; none counts as a denial.
-	entries := proxy.Audit().ByOutcome(OutcomeBreakGlass)
+	entries := byOutcome(proxy.Audit(), OutcomeBreakGlass)
 	if len(entries) != len(emergency) {
 		t.Fatalf("break-glass audit entries = %d, want %d", len(entries), len(emergency))
 	}
@@ -347,22 +347,22 @@ func TestBreakGlassLifecycle(t *testing.T) {
 			t.Fatalf("break-glass entry lost its reason: %+v", e)
 		}
 	}
-	if len(proxy.Audit().Denials()) != 0 {
+	if len(denials(proxy.Audit())) != 0 {
 		t.Fatal("break-glass access counted as a denial")
 	}
 	// Break-glass is emergency-only: the responder still cannot touch
 	// other categories, and an unauthorized requester is denied with the
 	// reason on record.
-	if _, err := s.svc.ReadCategory(s.alice.ID(), CategoryMedication, s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readCategory(s.svc, s.alice.ID(), CategoryMedication, s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("break-glass responder read a non-emergency category: %v", err)
 	}
-	if _, err := s.svc.BreakGlass(s.alice.ID(), s.eveKey.ID, reason); !errors.Is(err, ErrNoGrant) {
+	if _, err := breakGlass(s.svc, s.alice.ID(), s.eveKey.ID, reason); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("unauthorized break-glass: want ErrNoGrant, got %v", err)
 	}
-	denials := proxy.Audit().Denials()
+	denials := denials(proxy.Audit())
 	if len(denials) != 1 || denials[0].Outcome != OutcomeNoGrant ||
 		denials[0].Requester != s.eveKey.ID || denials[0].Note != reason {
 		t.Fatalf("unauthorized break-glass denial = %+v, want no-grant by %s with the reason on record", denials, s.eveKey.ID)
 	}
-	assertGapless(t, proxy.Audit().Entries())
+	assertGapless(t, proxy.Audit().Tail(0))
 }

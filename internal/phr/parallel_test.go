@@ -120,7 +120,7 @@ func TestDiscloseCategoryStreamOrderAndAudit(t *testing.T) {
 		t.Fatalf("stream yielded %d items, want 8", i)
 	}
 	granted := 0
-	for _, e := range proxy.Audit().Entries()[before:] {
+	for _, e := range proxy.Audit().Tail(0)[before:] {
 		if e.Outcome == OutcomeGranted {
 			granted++
 		}
@@ -138,7 +138,7 @@ func TestDiscloseCategoryStreamOrderAndAudit(t *testing.T) {
 	if !errors.Is(err, stop) {
 		t.Fatalf("got %v, want the consumer error", err)
 	}
-	for _, e := range proxy.Audit().Entries()[before:] {
+	for _, e := range proxy.Audit().Tail(0)[before:] {
 		if e.Outcome == OutcomeError {
 			t.Fatalf("consumer cancel audited as proxy error: %+v", e)
 		}
@@ -155,7 +155,7 @@ func TestDiscloseCategoryParallelNoGrant(t *testing.T) {
 	if !errors.Is(err, ErrNoGrant) || len(rcts) != 0 {
 		t.Fatalf("got %d records and %v, want none and ErrNoGrant", len(rcts), err)
 	}
-	entries := proxy.Audit().Entries()[before:]
+	entries := proxy.Audit().Tail(0)[before:]
 	if len(entries) != 1 || entries[0].Outcome != OutcomeNoGrant {
 		t.Fatalf("audit after denial = %+v", entries)
 	}
@@ -170,12 +170,12 @@ func TestDiscloseCategoryParallelNoGrant(t *testing.T) {
 func TestRequestFetchesRecordOnce(t *testing.T) {
 	s := newScenario(t)
 	store := &countingBackend{Backend: NewStore()}
-	svc := NewServiceWith(StandardCategories(), store)
+	svc := NewService(StandardCategories(), store)
 	rec, err := s.alice.AddRecord(store, CategoryEmergency, []byte("bt O−"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

@@ -35,7 +35,7 @@ func newScenario(t *testing.T) *scenario {
 	return &scenario{
 		kgc1:   kgc1,
 		kgc2:   kgc2,
-		svc:    NewService(StandardCategories()),
+		svc:    NewService(StandardCategories(), NewStore()),
 		alice:  NewPatient(kgc1, "alice@phr.example"),
 		bobKey: kgc2.Extract("dr-bob@clinic.example"),
 		eveKey: kgc2.Extract("eve@outside.example"),
@@ -49,7 +49,7 @@ func TestPatientOwnRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.alice.ReadOwn(s.svc.Store, rec.ID)
+	got, err := readOwn(s.alice, s.svc.Store, rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestDisclosureFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.svc.Read(rec.ID, s.bobKey)
+	got, err := readRecord(s.svc, rec.ID, s.bobKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestNoGrantDenied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.svc.Read(rec.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readRecord(s.svc, rec.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("want ErrNoGrant, got %v", err)
 	}
 	// Denial must be audited.
 	proxy, _ := s.svc.ProxyFor(CategoryIllnessHistory)
-	denials := proxy.Audit().Denials()
+	denials := denials(proxy.Audit())
 	if len(denials) != 1 || denials[0].Outcome != OutcomeNoGrant {
 		t.Fatalf("expected one no-grant audit entry, got %+v", denials)
 	}
@@ -99,13 +99,13 @@ func TestGrantIsCategoryScoped(t *testing.T) {
 	recIll, _ := s.alice.AddRecord(s.svc.Store, CategoryIllnessHistory, []byte("illness"), nil)
 	recFood, _ := s.alice.AddRecord(s.svc.Store, CategoryFoodStatistics, []byte("food"), nil)
 
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryFoodStatistics); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryFoodStatistics); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.svc.Read(recFood.ID, s.bobKey); err != nil || !bytes.Equal(got, []byte("food")) {
+	if got, err := readRecord(s.svc, recFood.ID, s.bobKey); err != nil || !bytes.Equal(got, []byte("food")) {
 		t.Fatalf("granted category unreadable: %v", err)
 	}
-	if _, err := s.svc.Read(recIll.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readRecord(s.svc, recIll.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("ungranted category readable: %v", err)
 	}
 }
@@ -113,10 +113,10 @@ func TestGrantIsCategoryScoped(t *testing.T) {
 func TestGrantIsRequesterScoped(t *testing.T) {
 	s := newScenario(t)
 	rec, _ := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("bt O−"), nil)
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.svc.Read(rec.ID, s.eveKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readRecord(s.svc, rec.ID, s.eveKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("other requester readable: %v", err)
 	}
 }
@@ -124,21 +124,21 @@ func TestGrantIsRequesterScoped(t *testing.T) {
 func TestRevocation(t *testing.T) {
 	s := newScenario(t)
 	rec, _ := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("x"), nil)
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.svc.Read(rec.ID, s.bobKey); err != nil {
+	if _, err := readRecord(s.svc, rec.ID, s.bobKey); err != nil {
 		t.Fatal(err)
 	}
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
-	if err := s.alice.Revoke(proxy, "dr-bob@clinic.example", CategoryEmergency); err != nil {
+	if err := revoke(s.alice, proxy, "dr-bob@clinic.example", CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.svc.Read(rec.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
+	if _, err := readRecord(s.svc, rec.ID, s.bobKey); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("revoked grant still effective: %v", err)
 	}
 	// Revoking twice reports ErrNoGrant.
-	if err := s.alice.Revoke(proxy, "dr-bob@clinic.example", CategoryEmergency); !errors.Is(err, ErrNoGrant) {
+	if err := revoke(s.alice, proxy, "dr-bob@clinic.example", CategoryEmergency); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("double revoke: want ErrNoGrant, got %v", err)
 	}
 }
@@ -155,10 +155,10 @@ func TestReadCategoryBulk(t *testing.T) {
 	if _, err := s.alice.AddRecord(s.svc.Store, CategoryMedication, []byte("other"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.svc.ReadCategory("alice@phr.example", CategoryEmergency, s.bobKey)
+	got, err := readCategory(s.svc, "alice@phr.example", CategoryEmergency, s.bobKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,8 @@ func TestStoreIndexes(t *testing.T) {
 	if got := s.svc.Store.Patients(); len(got) != 2 || got[0] != "alice@phr.example" {
 		t.Fatalf("Patients = %v", got)
 	}
-	cats := s.svc.Store.Categories("alice@phr.example")
-	if len(cats) != 2 {
+	cats, err := categoriesOf(s.svc.Store, "alice@phr.example")
+	if err != nil || len(cats) != 2 {
 		t.Fatalf("alice categories = %v", cats)
 	}
 	recs := mustList(t, s.svc.Store, "alice@phr.example", CategoryEmergency)
@@ -267,23 +267,23 @@ func TestStoreConcurrentAccess(t *testing.T) {
 func TestAuditTrail(t *testing.T) {
 	s := newScenario(t)
 	rec, _ := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("x"), nil)
-	s.svc.Grant(s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency)
-	if _, err := s.svc.Read(rec.ID, s.bobKey); err != nil {
+	grantAt(s.svc, s.alice, s.kgc2.Params(), "dr-bob@clinic.example", CategoryEmergency)
+	if _, err := readRecord(s.svc, rec.ID, s.bobKey); err != nil {
 		t.Fatal(err)
 	}
-	s.svc.Read(rec.ID, s.eveKey) // denied
+	readRecord(s.svc, rec.ID, s.eveKey) // denied
 
 	proxy, _ := s.svc.ProxyFor(CategoryEmergency)
 	log := proxy.Audit()
 	if log.Len() != 2 {
 		t.Fatalf("audit entries = %d, want 2", log.Len())
 	}
-	bobEntries := log.ByRequester("dr-bob@clinic.example")
+	bobEntries := byRequester(log, "dr-bob@clinic.example")
 	if len(bobEntries) != 1 || bobEntries[0].Outcome != OutcomeGranted {
 		t.Fatalf("bob audit = %+v", bobEntries)
 	}
-	if len(log.Denials()) != 1 {
-		t.Fatalf("denials = %d, want 1", len(log.Denials()))
+	if len(denials(log)) != 1 {
+		t.Fatalf("denials = %d, want 1", len(denials(log)))
 	}
 }
 
@@ -295,7 +295,7 @@ func TestRequestUnknownRecordNotFound(t *testing.T) {
 	if _, err := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+	if err := grantAt(s.svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.svc.Request("no-such-record", s.bobKey.ID); !errors.Is(err, ErrNotFound) {
@@ -309,25 +309,40 @@ func TestRequestUnknownRecordNotFound(t *testing.T) {
 }
 
 func TestDynamicProxyDeployment(t *testing.T) {
-	// §5: Alice travels to the US and deploys a local emergency proxy.
+	// §5: Alice travels to the US and stands up a local emergency proxy
+	// over the same store. Her grant goes to that proxy alone.
 	s := newScenario(t)
 	rec, _ := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("blood type O−"), nil)
 
 	usProxy := NewProxy("proxy-us-east")
-	s.svc.DeployProxy(CategoryEmergency, usProxy)
 	usDoctor := s.kgc2.Extract("er-doc@us-hospital.example")
-	if err := s.svc.Grant(s.alice, s.kgc2.Params(), "er-doc@us-hospital.example", CategoryEmergency); err != nil {
+	if err := s.alice.Grant(usProxy, s.kgc2.Params(), usDoctor.ID, CategoryEmergency, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.svc.Read(rec.ID, usDoctor)
+	var got []byte
+	err := usProxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, usDoctor.ID, func(frame []byte, _ bool) error {
+		rct, err := decodeFrame(frame)
+		if err != nil {
+			return err
+		}
+		got, err = hybrid.DecryptReEncrypted(usDoctor, rct)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, []byte("blood type O−")) {
 		t.Fatal("US emergency disclosure failed")
 	}
-	if usProxy.GrantCount() != 1 {
-		t.Fatal("grant not routed to the deployed proxy")
+	home, err := s.svc.ProxyFor(CategoryEmergency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grantCount(usProxy) != 1 || grantCount(home) != 0 {
+		t.Fatal("grant not held by the US proxy alone")
+	}
+	if _, err := readRecord(s.svc, rec.ID, usDoctor); !errors.Is(err, ErrNoGrant) {
+		t.Fatalf("home proxy disclosed without a grant: %v", err)
 	}
 }
 
@@ -348,7 +363,7 @@ func TestWorkloadGeneration(t *testing.T) {
 	}
 	// Every granted (patient, category, requester) triple must be readable.
 	g := w.Grants[0]
-	bodies, err := w.Service.ReadCategory(g.PatientID, g.Category, w.Requesters[g.RequesterID])
+	bodies, err := readCategory(w.Service, g.PatientID, g.Category, w.Requesters[g.RequesterID])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,6 +420,10 @@ func TestBlastRadiusTypeVsTraditional(t *testing.T) {
 // for a sample of non-exposed records, recovered keys do NOT open them.
 // Returns (exposedVerified, isolatedVerified).
 func verifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
+	owner := map[string]*core.Delegator{}
+	for _, p := range w.Patients {
+		owner[p.ID()] = p.Delegator()
+	}
 	// Recover all type keys available to the attacker, keyed by the sealed
 	// wire type they open (category at a specific rotation epoch).
 	typeKeys := map[sealedPair]*core.TypeKey{}
@@ -429,7 +448,7 @@ func verifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
 		tk, exposed := typeKeys[key]
 		if exposed {
 			// The attacker opens the KEM with the type key and unseals.
-			if !attackerCanOpen(tk, rec, w.Bodies[rec.ID]) {
+			if !attackerCanOpen(tk, rec, owner[rec.PatientID]) {
 				exposedOK = false
 			}
 			continue
@@ -439,7 +458,7 @@ func verifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
 			if pc.patient != rec.PatientID {
 				continue
 			}
-			if attackerCanOpen(wrongTk, rec, w.Bodies[rec.ID]) {
+			if attackerCanOpen(wrongTk, rec, owner[rec.PatientID]) {
 				isolatedOK = false
 			}
 		}
@@ -448,18 +467,16 @@ func verifyTypePREBreach(w *Workload, corrupted []*Proxy) (bool, bool) {
 }
 
 // attackerCanOpen checks whether a recovered type key opens a sealed
-// record: it decrypts the KEM with the type key, derives the DEM key and
-// compares the unsealed body.
-func attackerCanOpen(tk *core.TypeKey, rec *EncryptedRecord, want []byte) bool {
+// record: it decrypts the KEM with the type key and compares the result
+// with the KEM key the owner decrypts. The DEM key derives from the KEM
+// key and public data only, so an equal KEM key unseals the body.
+func attackerCanOpen(tk *core.TypeKey, rec *EncryptedRecord, owner *core.Delegator) bool {
 	k, err := core.DecryptWithTypeKey(tk, rec.Sealed.KEM)
 	if err != nil {
 		return false
 	}
-	body, err := hybrid.OpenWithKEMKey(k, rec.Sealed)
-	if err != nil {
-		return false
-	}
-	return string(body) == string(want)
+	want, err := owner.Decrypt(rec.Sealed.KEM)
+	return err == nil && k.Equal(want)
 }
 
 func TestExposureFractionEmptyStore(t *testing.T) {
@@ -470,7 +487,7 @@ func TestExposureFractionEmptyStore(t *testing.T) {
 }
 
 func TestServiceNoProxyForUnknownCategory(t *testing.T) {
-	s := NewService([]Category{CategoryEmergency})
+	s := NewService([]Category{CategoryEmergency}, NewStore())
 	if _, err := s.ProxyFor("unknown"); !errors.Is(err, ErrNoProxy) {
 		t.Fatalf("want ErrNoProxy, got %v", err)
 	}
@@ -480,7 +497,7 @@ func TestReadOwnWrongPatientRejected(t *testing.T) {
 	s := newScenario(t)
 	carol := NewPatient(s.kgc1, "carol@phr.example")
 	rec, _ := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("x"), nil)
-	if _, err := carol.ReadOwn(s.svc.Store, rec.ID); err == nil {
+	if _, err := readOwn(carol, s.svc.Store, rec.ID); err == nil {
 		t.Fatal("another patient read a foreign record")
 	}
 }

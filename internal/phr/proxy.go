@@ -92,13 +92,6 @@ func (p *Proxy) Revoke(patientID string, c Category, requester string) error {
 	return nil
 }
 
-// GrantCount returns the number of installed grants.
-func (p *Proxy) GrantCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.grants)
-}
-
 // lookup finds the prepared grant for a request.
 func (p *Proxy) lookup(patientID string, c Category, requester string) (*core.PreparedReKey, bool) {
 	p.mu.RLock()
@@ -118,25 +111,11 @@ type disclosure struct {
 	note      string  // carried by every entry (the break-glass reason)
 }
 
-// Disclose re-encrypts one record toward the requester, enforcing the
-// grant table and writing an audit entry either way. This is the §5
-// on-demand disclosure path; the caller has already fetched the record
-// (Service.Request reads it once to route it to this proxy). It decodes
-// the container that discloseRecord serves.
-func (p *Proxy) Disclose(rec *EncryptedRecord, requester string) (*hybrid.ReCiphertext, error) {
-	var out *hybrid.ReCiphertext
-	err := p.discloseRecord(rec, requester, func(frame []byte, _ bool) (err error) {
-		out, err = decodeFrame(frame)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// discloseRecord is Disclose yielding the record's wire frame (see
-// hybrid.ReEncryptStream) instead of decoding it.
+// discloseRecord re-encrypts one record toward the requester into its
+// wire frame (see hybrid.ReEncryptStream), enforcing the grant table and
+// writing an audit entry either way. This is the §5 on-demand disclosure
+// path; the caller has already fetched the record (Service.discloseRecord
+// reads it once to route it to this proxy).
 func (p *Proxy) discloseRecord(rec *EncryptedRecord, requester string, yield func(frame []byte, wait bool) error) error {
 	return p.disclose(disclosure{
 		patientID: rec.PatientID, category: rec.Category, requester: requester,

@@ -33,7 +33,7 @@ func TestMarshalRecordRoundTrip(t *testing.T) {
 		}
 	}
 	for id, want := range bodies {
-		got, err := s.alice.ReadOwn(restored, id)
+		got, err := readOwn(s.alice, restored, id)
 		if err != nil {
 			t.Fatalf("record %s: %v", id, err)
 		}
@@ -41,7 +41,7 @@ func TestMarshalRecordRoundTrip(t *testing.T) {
 			t.Fatalf("record %s body mismatch after round trip", id)
 		}
 	}
-	if len(restored.Categories("alice@phr.example")) != 3 {
+	if cats, err := categoriesOf(restored, "alice@phr.example"); err != nil || len(cats) != 3 {
 		t.Fatal("categories index not rebuilt")
 	}
 }

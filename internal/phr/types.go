@@ -53,15 +53,6 @@ func BaseCategory(t core.Type) Category {
 	return Category(core.BaseType(t))
 }
 
-// Record is a plaintext PHR entry as the patient sees it.
-type Record struct {
-	ID        string
-	PatientID string
-	Category  Category
-	CreatedAt time.Time
-	Body      []byte
-}
-
 // EncryptedRecord is the at-rest form: metadata in clear (needed for
 // indexing and routing), body sealed with the hybrid PRE scheme.
 type EncryptedRecord struct {

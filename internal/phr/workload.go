@@ -64,6 +64,8 @@ type BulkFixture struct {
 // NewBulkFixture materializes the corpus. Callers measuring the warm
 // serving path should run one disclosure first to populate the installed
 // grant's c2′ cache.
+//
+// phrlint:root the fixture of README E9 (BenchmarkDiscloseCategory)
 func NewBulkFixture(records int) (*BulkFixture, error) {
 	cfg := DefaultWorkload()
 	cfg.Patients = 1
@@ -145,7 +147,7 @@ func GenerateWorkloadFrom(cfg WorkloadConfig, src rand.Source) (*Workload, error
 		Config:     cfg,
 		KGC1:       kgc1,
 		KGC2:       kgc2,
-		Service:    NewServiceWith(cfg.Categories, backend),
+		Service:    NewService(cfg.Categories, backend),
 		Requesters: map[string]*ibe.PrivateKey{},
 		Bodies:     map[string][]byte{},
 	}
