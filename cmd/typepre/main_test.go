@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"typepre/internal/bn254"
 	"typepre/internal/core"
+	"typepre/internal/ibe"
 )
 
 // TestLifecycle runs the CLI's whole key and ciphertext lifecycle in a
@@ -76,5 +80,39 @@ func TestUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"help"}, &stdout, &stderr); err != nil || stderr.Len() == 0 {
 		t.Errorf("run(help) = %v with %d bytes of usage, want nil and the usage", err, stderr.Len())
+	}
+}
+
+// TestCraftedKeyFiles feeds each command that reads a key file a 5-byte
+// file whose length prefix wraps a 32-bit length check: the command must
+// fail with an encoding error, which main turns into exit status 1,
+// rather than take the process down.
+func TestCraftedKeyFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	if err := run([]string{"setup", "-name", "kgc", "-out", path("kgc.params"), "-master", path("kgc.master")},
+		io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"extract", "-master", path("kgc.master"), "-id", "alice@x", "-out", path("alice.key")},
+		io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	crafted := func(name string, tail int) string {
+		data := binary.BigEndian.AppendUint32(nil, uint32(5-4-tail))
+		if err := os.WriteFile(path(name), append(data, 0), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path(name)
+	}
+	for _, args := range [][]string{
+		{"decrypt", "-params", crafted("bad.params", bn254.G2Size), "-key", path("alice.key"), "-in", path("kgc.params")},
+		{"decrypt", "-params", path("kgc.params"), "-key", crafted("bad.key", bn254.G1Size), "-in", path("kgc.params")},
+		{"extract", "-master", crafted("bad.master", 32), "-id", "bob@x", "-out", path("bob.key")},
+	} {
+		err := run(args, io.Discard, io.Discard)
+		if !errors.Is(err, ibe.ErrEncoding) || errors.Is(err, errUsage) {
+			t.Errorf("typepre %v: err = %v, want %v (exit 1)", args, err, ibe.ErrEncoding)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // packages (internal/bn254, internal/ibe, internal/core, internal/hybrid)
 // and allowed in the internal/phr tree only as the sanctioned
 // InsecureDeterministic workload plumbing: the deterministic rand.Source
-// that phr.GenerateWorkloadFrom threads through corpus generation so load
+// that phr.GenerateWorkload threads through corpus generation so load
 // tests and crash-recovery spot-checks can regenerate byte-identical
 // corpora. Everything else is a diagnostic — a math/rand value that leaks
 // into key generation is the paper's security reduction voided in one
@@ -34,14 +34,10 @@ var Analyzer = &analysis.Analyzer{
 // Montgomery-limb field core) is covered by the bn254 entry.
 var cryptoPkgs = []string{"bn254", "ibe", "core", "hybrid"}
 
-// plumbingFuncs are the functions, in the phr package itself, that *are*
-// the InsecureDeterministic plumbing — the only place the phr tree may
-// manipulate a math/rand generator rather than merely construct a seeded
-// Source for it.
-var plumbingFuncs = map[string]bool{
-	"GenerateWorkload":     true,
-	"GenerateWorkloadFrom": true,
-}
+// plumbingFunc is the function, in the phr package itself, that *is* the
+// InsecureDeterministic plumbing — the only place the phr tree may use
+// math/rand.
+const plumbingFunc = "GenerateWorkload"
 
 func run(pass *analysis.Pass) error {
 	crypto, phrTree := classify(pass.Pkg.Path())
@@ -123,43 +119,13 @@ func checkFile(pass *analysis.Pass, file *ast.File, crypto bool) {
 }
 
 // sanctioned reports whether a math/rand reference is part of the
-// InsecureDeterministic plumbing: either lexically inside the plumbing
-// functions themselves (phr.GenerateWorkload/GenerateWorkloadFrom, whose
-// whole job is threading a deterministic source), or inside an argument
-// handed to a GenerateWorkloadFrom call (the one-line `rand.NewSource(seed)`
-// construction every deterministic caller performs).
+// InsecureDeterministic plumbing: lexically inside phr.GenerateWorkload,
+// whose whole job is threading a deterministic source.
 func sanctioned(pass *analysis.Pass, parents map[ast.Node]ast.Node, id *ast.Ident) bool {
-	if fd := analysis.EnclosingFuncDecl(parents, id); fd != nil &&
-		plumbingFuncs[fd.Name.Name] && fd.Recv == nil && isPhrPkg(pass.Pkg.Path()) {
-		return true
-	}
-	for child, p := ast.Node(id), parents[id]; p != nil; child, p = p, parents[p] {
-		call, ok := p.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		for _, arg := range call.Args {
-			if arg == child {
-				if name := calleeName(call); plumbingFuncs[name] {
-					return true
-				}
-				break
-			}
-		}
-	}
-	return false
+	fd := analysis.EnclosingFuncDecl(parents, id)
+	return fd != nil && fd.Name.Name == plumbingFunc && fd.Recv == nil && isPhrPkg(pass.Pkg.Path())
 }
 
 func isPhrPkg(path string) bool {
 	return path == "internal/phr" || strings.HasSuffix(path, "/internal/phr")
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }

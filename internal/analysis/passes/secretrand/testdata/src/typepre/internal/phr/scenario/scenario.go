@@ -1,6 +1,5 @@
-// Package scenario (testdata) models a phr subpackage: constructing a
-// seeded source as an argument to GenerateWorkloadFrom is sanctioned; any
-// other math/rand use is not.
+// Package scenario (testdata) models a phr subpackage: no math/rand use
+// is sanctioned there, not even a seeded source handed to the generator.
 package scenario
 
 import (
@@ -9,9 +8,8 @@ import (
 	"typepre/internal/phr"
 )
 
-func deterministicCorpus(seed int64) (*phr.Workload, error) {
-	cfg := phr.WorkloadConfig{Seed: seed, InsecureDeterministic: true}
-	return phr.GenerateWorkloadFrom(cfg, rand.NewSource(seed))
+func deterministicCorpus(seed int64) *phr.Workload {
+	return phr.Shuffled(rand.NewSource(seed)) // want `math/rand use outside the InsecureDeterministic workload plumbing`
 }
 
 func jitter() int {

@@ -1,7 +1,6 @@
 // Package phr (testdata) models the workload plumbing: math/rand is legal
-// only inside GenerateWorkload/GenerateWorkloadFrom — the
-// InsecureDeterministic corpus generator — and in arguments handed to
-// GenerateWorkloadFrom calls.
+// only inside GenerateWorkload, the InsecureDeterministic corpus
+// generator.
 package phr
 
 import (
@@ -19,20 +18,22 @@ type Workload struct {
 	IDs []int
 }
 
-// GenerateWorkload seeds the deterministic generator; the plumbing
-// entry point is sanctioned wholesale.
+// GenerateWorkload is the plumbing itself, sanctioned wholesale.
 func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
-	return GenerateWorkloadFrom(cfg, rand.NewSource(cfg.Seed))
-}
-
-// GenerateWorkloadFrom is the plumbing itself.
-func GenerateWorkloadFrom(cfg WorkloadConfig, src rand.Source) (*Workload, error) {
-	rng := rand.New(src)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &Workload{IDs: []int{rng.Intn(100)}}, nil
 }
 
+// Shuffled is NOT plumbing: a function that takes a math/rand source
+// outside GenerateWorkload is itself a use to flag.
+func Shuffled(src rand.Source) *Workload { // want `math/rand use outside the InsecureDeterministic workload plumbing`
+	w := &Workload{IDs: []int{1, 2, 3}}
+	Shuffle(w)
+	return w
+}
+
 // Shuffle is NOT plumbing: a direct use of math/rand outside the
-// sanctioned functions.
+// sanctioned function.
 func Shuffle(w *Workload) {
 	rand.Shuffle(len(w.IDs), func(i, j int) { // want `math/rand use outside the InsecureDeterministic workload plumbing`
 		w.IDs[i], w.IDs[j] = w.IDs[j], w.IDs[i]

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"typepre/internal/bn254"
 	"typepre/internal/ibe"
+	"typepre/internal/wire"
 )
 
 // Compact encodings: identical structure to Marshal but with compressed
@@ -20,104 +22,53 @@ func (c *Ciphertext) MarshalCompact() []byte {
 	out := make([]byte, 0, bn254.G2CompressedSize+bn254.GTSize+4+len(c.Type))
 	out = append(out, c.C1.MarshalCompressed()...)
 	out = append(out, c.C2.Marshal()...)
-	out = appendString(out, string(c.Type))
-	return out
+	return wire.AppendField(out, c.Type)
 }
 
 // UnmarshalCompactCiphertext decodes MarshalCompact output.
 //
 // phrlint:root the decoder of the encoding README E3 sizes as ct_compact_bytes
 func UnmarshalCompactCiphertext(data []byte) (*Ciphertext, error) {
-	if len(data) < bn254.G2CompressedSize+bn254.GTSize+4 {
-		return nil, fmt.Errorf("%w: compact ciphertext too short", ErrEncoding)
+	r := wire.NewReader(data)
+	c1b, c2b, t := r.Next(bn254.G2CompressedSize), r.Next(bn254.GTSize), r.Field()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: compact ciphertext: %w", ErrEncoding, err)
 	}
 	var c1 bn254.G2
-	if err := c1.UnmarshalCompressed(data[:bn254.G2CompressedSize]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	data = data[bn254.G2CompressedSize:]
 	var c2 bn254.GT
-	if err := c2.Unmarshal(data[:bn254.GTSize]); err != nil {
+	if err := errors.Join(c1.UnmarshalCompressed(c1b), c2.Unmarshal(c2b)); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	data = data[bn254.GTSize:]
-	t, rest, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrEncoding)
 	}
 	return &Ciphertext{C1: &c1, C2: &c2, Type: Type(t)}, nil
 }
 
-// ibeCiphertextCompact encodes an embedded IBE ciphertext compactly.
-func ibeCiphertextCompact(c *ibe.Ciphertext) []byte {
-	out := make([]byte, 0, bn254.G2CompressedSize+bn254.GTSize)
-	out = append(out, c.C1.MarshalCompressed()...)
-	return append(out, c.C2.Marshal()...)
-}
-
-func ibeCiphertextFromCompact(data []byte) (*ibe.Ciphertext, error) {
-	if len(data) != bn254.G2CompressedSize+bn254.GTSize {
-		return nil, fmt.Errorf("%w: compact IBE ciphertext length %d", ErrEncoding, len(data))
-	}
-	var c1 bn254.G2
-	if err := c1.UnmarshalCompressed(data[:bn254.G2CompressedSize]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	var c2 bn254.GT
-	if err := c2.Unmarshal(data[bn254.G2CompressedSize:]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	return &ibe.Ciphertext{C1: &c1, C2: &c2}, nil
-}
-
-// MarshalCompact encodes the rekey with compressed points throughout.
+// MarshalCompact encodes the rekey with compressed points throughout: the
+// identity block, RK, then EncX's C1 compressed and its C2.
 //
 // phrlint:root README E3 reports its size as rekey_compact_bytes
 func (rk *ReKey) MarshalCompact() []byte {
-	encX := ibeCiphertextCompact(rk.EncX)
-	out := make([]byte, 0, 12+len(rk.Type)+len(rk.DelegatorID)+len(rk.DelegateeID)+bn254.G1CompressedSize+len(encX))
-	out = appendString(out, string(rk.Type))
-	out = appendString(out, rk.DelegatorID)
-	out = appendString(out, rk.DelegateeID)
+	out := make([]byte, 0, idsSize(rk.Type, rk.DelegatorID, rk.DelegateeID)+bn254.G1CompressedSize+bn254.G2CompressedSize+bn254.GTSize)
+	out = appendIDs(out, rk.Type, rk.DelegatorID, rk.DelegateeID)
 	out = append(out, rk.RK.MarshalCompressed()...)
-	return append(out, encX...)
+	out = append(out, rk.EncX.C1.MarshalCompressed()...)
+	return append(out, rk.EncX.C2.Marshal()...)
 }
 
 // UnmarshalCompactReKey decodes MarshalCompact output.
 //
 // phrlint:root the decoder of the encoding README E3 sizes as rekey_compact_bytes
 func UnmarshalCompactReKey(data []byte) (*ReKey, error) {
-	t, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	delegator, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	delegatee, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != bn254.G1CompressedSize+bn254.G2CompressedSize+bn254.GTSize {
-		return nil, fmt.Errorf("%w: compact rekey body length %d", ErrEncoding, len(data))
+	r := wire.NewReader(data)
+	t, delegator, delegatee := readIDs(&r)
+	rkb, c1b, c2b := r.Next(bn254.G1CompressedSize), r.Next(bn254.G2CompressedSize), r.Next(bn254.GTSize)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: compact rekey: %w", ErrEncoding, err)
 	}
 	var rk bn254.G1
-	if err := rk.UnmarshalCompressed(data[:bn254.G1CompressedSize]); err != nil {
+	var c1 bn254.G2
+	var c2 bn254.GT
+	if err := errors.Join(rk.UnmarshalCompressed(rkb), c1.UnmarshalCompressed(c1b), c2.Unmarshal(c2b)); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
-	encX, err := ibeCiphertextFromCompact(data[bn254.G1CompressedSize:])
-	if err != nil {
-		return nil, err
-	}
-	return &ReKey{
-		Type:        Type(t),
-		DelegatorID: delegator,
-		DelegateeID: delegatee,
-		RK:          &rk,
-		EncX:        encX,
-	}, nil
+	return &ReKey{Type: t, DelegatorID: delegator, DelegateeID: delegatee, RK: &rk, EncX: &ibe.Ciphertext{C1: &c1, C2: &c2}}, nil
 }

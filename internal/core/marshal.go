@@ -1,33 +1,33 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"typepre/internal/bn254"
 	"typepre/internal/ibe"
+	"typepre/internal/wire"
 )
 
 // ErrEncoding is returned when a serialized value cannot be decoded.
 var ErrEncoding = errors.New("core: invalid encoding")
 
-func appendString(out []byte, s string) []byte {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(s)))
-	out = append(out, lenBuf[:]...)
-	return append(out, s...)
+// appendIDs appends the identity block that a rekey and a re-encryption
+// share: len(Type)‖Type‖len(DelegatorID)‖DelegatorID‖len(DelegateeID)‖DelegateeID.
+func appendIDs(out []byte, t Type, delegator, delegatee string) []byte {
+	out = wire.AppendField(out, t)
+	out = wire.AppendField(out, delegator)
+	return wire.AppendField(out, delegatee)
 }
 
-func readString(data []byte) (string, []byte, error) {
-	if len(data) < 4 {
-		return "", nil, fmt.Errorf("%w: truncated string", ErrEncoding)
-	}
-	n := binary.BigEndian.Uint32(data[:4])
-	if uint32(len(data)-4) < n {
-		return "", nil, fmt.Errorf("%w: truncated string body", ErrEncoding)
-	}
-	return string(data[4 : 4+n]), data[4+n:], nil
+// idsSize is the number of bytes appendIDs appends.
+func idsSize(t Type, delegator, delegatee string) int {
+	return 12 + len(t) + len(delegator) + len(delegatee)
+}
+
+// readIDs reads the block appendIDs writes.
+func readIDs(r *wire.Reader) (t Type, delegator, delegatee string) {
+	return Type(r.Field()), string(r.Field()), string(r.Field())
 }
 
 // Marshal encodes the ciphertext as C1‖C2‖len(Type)‖Type.
@@ -35,31 +35,20 @@ func (c *Ciphertext) Marshal() []byte {
 	out := make([]byte, 0, bn254.G2Size+bn254.GTSize+4+len(c.Type))
 	out = append(out, c.C1.Marshal()...)
 	out = append(out, c.C2.Marshal()...)
-	out = appendString(out, string(c.Type))
-	return out
+	return wire.AppendField(out, c.Type)
 }
 
 // UnmarshalCiphertext decodes a Ciphertext produced by Marshal.
 func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
-	if len(data) < bn254.G2Size+bn254.GTSize+4 {
-		return nil, fmt.Errorf("%w: ciphertext too short", ErrEncoding)
+	r := wire.NewReader(data)
+	c1b, c2b, t := r.Next(bn254.G2Size), r.Next(bn254.GTSize), r.Field()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: ciphertext: %w", ErrEncoding, err)
 	}
 	var c1 bn254.G2
-	if err := c1.Unmarshal(data[:bn254.G2Size]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	data = data[bn254.G2Size:]
 	var c2 bn254.GT
-	if err := c2.Unmarshal(data[:bn254.GTSize]); err != nil {
+	if err := errors.Join(c1.Unmarshal(c1b), c2.Unmarshal(c2b)); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	data = data[bn254.GTSize:]
-	t, rest, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrEncoding)
 	}
 	return &Ciphertext{C1: &c1, C2: &c2, Type: Type(t)}, nil
 }
@@ -67,100 +56,58 @@ func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 // Marshal encodes the proxy key as
 // len(Type)‖Type‖len(DelegatorID)‖DelegatorID‖len(DelegateeID)‖DelegateeID‖RK‖EncX.
 func (rk *ReKey) Marshal() []byte {
-	encX := rk.EncX.Marshal()
-	out := make([]byte, 0, 12+len(rk.Type)+len(rk.DelegatorID)+len(rk.DelegateeID)+bn254.G1Size+len(encX))
-	out = appendString(out, string(rk.Type))
-	out = appendString(out, rk.DelegatorID)
-	out = appendString(out, rk.DelegateeID)
+	out := make([]byte, 0, idsSize(rk.Type, rk.DelegatorID, rk.DelegateeID)+bn254.G1Size+ibe.CiphertextSize)
+	out = appendIDs(out, rk.Type, rk.DelegatorID, rk.DelegateeID)
 	out = append(out, rk.RK.Marshal()...)
-	out = append(out, encX...)
-	return out
+	return append(out, rk.EncX.Marshal()...)
 }
 
 // UnmarshalReKey decodes a ReKey produced by Marshal.
 func UnmarshalReKey(data []byte) (*ReKey, error) {
-	t, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	delegator, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	delegatee, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != bn254.G1Size+ibe.CiphertextSize {
-		return nil, fmt.Errorf("%w: rekey body length %d", ErrEncoding, len(data))
+	r := wire.NewReader(data)
+	t, delegator, delegatee := readIDs(&r)
+	rkb, encXb := r.Next(bn254.G1Size), r.Next(ibe.CiphertextSize)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: rekey: %w", ErrEncoding, err)
 	}
 	var rk bn254.G1
-	if err := rk.Unmarshal(data[:bn254.G1Size]); err != nil {
+	if err := rk.Unmarshal(rkb); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
-	encX, err := ibe.UnmarshalCiphertext(data[bn254.G1Size:])
+	encX, err := ibe.UnmarshalCiphertext(encXb)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
-	return &ReKey{
-		Type:        Type(t),
-		DelegatorID: delegator,
-		DelegateeID: delegatee,
-		RK:          &rk,
-		EncX:        encX,
-	}, nil
+	return &ReKey{Type: t, DelegatorID: delegator, DelegateeID: delegatee, RK: &rk, EncX: encX}, nil
 }
 
-// Marshal encodes the re-encrypted ciphertext.
+// Marshal encodes the re-encrypted ciphertext as C1‖C2′, the identity
+// block of its rekey, and EncX.
 func (rc *ReCiphertext) Marshal() []byte {
-	encX := rc.EncX.Marshal()
-	out := make([]byte, 0, bn254.G2Size+bn254.GTSize+12+len(rc.Type)+len(rc.DelegatorID)+len(rc.DelegateeID)+len(encX))
+	out := make([]byte, 0, bn254.G2Size+bn254.GTSize+idsSize(rc.Type, rc.DelegatorID, rc.DelegateeID)+ibe.CiphertextSize)
 	out = append(out, rc.C1.Marshal()...)
 	out = append(out, rc.C2.Marshal()...)
-	out = appendString(out, string(rc.Type))
-	out = appendString(out, rc.DelegatorID)
-	out = appendString(out, rc.DelegateeID)
-	out = append(out, encX...)
-	return out
+	out = appendIDs(out, rc.Type, rc.DelegatorID, rc.DelegateeID)
+	return append(out, rc.EncX.Marshal()...)
 }
 
 // UnmarshalReCiphertext decodes a ReCiphertext produced by Marshal.
 func UnmarshalReCiphertext(data []byte) (*ReCiphertext, error) {
-	if len(data) < bn254.G2Size+bn254.GTSize {
-		return nil, fmt.Errorf("%w: reciphertext too short", ErrEncoding)
+	r := wire.NewReader(data)
+	c1b, c2b := r.Next(bn254.G2Size), r.Next(bn254.GTSize)
+	t, delegator, delegatee := readIDs(&r)
+	encXb := r.Next(ibe.CiphertextSize)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: reciphertext: %w", ErrEncoding, err)
 	}
 	var c1 bn254.G2
-	if err := c1.Unmarshal(data[:bn254.G2Size]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
-	}
-	data = data[bn254.G2Size:]
 	var c2 bn254.GT
-	if err := c2.Unmarshal(data[:bn254.GTSize]); err != nil {
+	if err := errors.Join(c1.Unmarshal(c1b), c2.Unmarshal(c2b)); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
-	data = data[bn254.GTSize:]
-	t, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	delegator, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	delegatee, data, err := readString(data)
-	if err != nil {
-		return nil, err
-	}
-	encX, err := ibe.UnmarshalCiphertext(data)
+	encX, err := ibe.UnmarshalCiphertext(encXb)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
-	return &ReCiphertext{
-		C1:          &c1,
-		C2:          &c2,
-		Type:        Type(t),
-		DelegatorID: delegator,
-		DelegateeID: delegatee,
-		EncX:        encX,
-	}, nil
+	return &ReCiphertext{C1: &c1, C2: &c2, Type: t, DelegatorID: delegator, DelegateeID: delegatee, EncX: encX}, nil
 }

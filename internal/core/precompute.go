@@ -48,7 +48,7 @@ func (s *CacheStats) Counts() (hits, misses, evictions uint64) {
 // PreparedReKey is safe for concurrent use.
 type PreparedReKey struct {
 	rk    *ReKey
-	tail  []byte // len(Type)‖Type‖len(DelegatorID)‖DelegatorID‖len(DelegateeID)‖DelegateeID‖EncX
+	tail  []byte // appendIDs' identity block, then EncX
 	stats *CacheStats
 
 	mu    sync.RWMutex
@@ -65,10 +65,8 @@ func PrepareReKey(rk *ReKey) *PreparedReKey {
 func PrepareReKeyCounted(rk *ReKey, stats *CacheStats) *PreparedReKey {
 	p := &PreparedReKey{rk: rk, stats: stats, cache: make(map[[sha256.Size]byte]*ReEncoding)}
 	if rk != nil && rk.EncX != nil {
-		p.tail = make([]byte, 0, 12+len(rk.Type)+len(rk.DelegatorID)+len(rk.DelegateeID)+ibe.CiphertextSize)
-		p.tail = appendString(p.tail, string(rk.Type))
-		p.tail = appendString(p.tail, rk.DelegatorID)
-		p.tail = appendString(p.tail, rk.DelegateeID)
+		p.tail = make([]byte, 0, idsSize(rk.Type, rk.DelegatorID, rk.DelegateeID)+ibe.CiphertextSize)
+		p.tail = appendIDs(p.tail, rk.Type, rk.DelegatorID, rk.DelegateeID)
 		p.tail = append(p.tail, rk.EncX.Marshal()...)
 	}
 	return p

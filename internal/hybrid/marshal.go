@@ -4,60 +4,44 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"typepre/internal/core"
+	"typepre/internal/wire"
 )
 
 // ErrEncoding is returned when a serialized value cannot be decoded.
 var ErrEncoding = errors.New("hybrid: invalid encoding")
 
-// Framing: KEM ‖ nonce ‖ payload, each with a 4-byte big-endian length
-// prefix. The same container layout serves both ciphertext directions.
+// Both ciphertext directions share one container: the KEM encoding, the
+// nonce and the sealed payload, each a length-prefixed field.
 
-func appendChunk(out, chunk []byte) []byte {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(chunk)))
-	out = append(out, lenBuf[:]...)
-	return append(out, chunk...)
+func appendContainer(out, kem, nonce, payload []byte) []byte {
+	out = slices.Grow(out, 12+len(kem)+len(nonce)+len(payload))
+	out = wire.AppendField(out, kem)
+	out = wire.AppendField(out, nonce)
+	return wire.AppendField(out, payload)
 }
 
-func readChunk(data []byte) ([]byte, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated chunk header", ErrEncoding)
+func readContainer(data []byte) (kem, nonce, payload []byte, err error) {
+	r := wire.NewReader(data)
+	kem, nonce, payload = r.Field(), r.Field(), r.Field()
+	if err := r.Done(); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
-	n := binary.BigEndian.Uint32(data[:4])
-	if uint32(len(data)-4) < n {
-		return nil, nil, fmt.Errorf("%w: truncated chunk body", ErrEncoding)
-	}
-	return data[4 : 4+n], data[4+n:], nil
+	return kem, nonce, payload, nil
 }
 
 // Marshal encodes the hybrid ciphertext.
 func (c *Ciphertext) Marshal() []byte {
-	kem := c.KEM.Marshal()
-	out := make([]byte, 0, 12+len(kem)+len(c.Nonce)+len(c.Payload))
-	out = appendChunk(out, kem)
-	out = appendChunk(out, c.Nonce)
-	out = appendChunk(out, c.Payload)
-	return out
+	return appendContainer(nil, c.KEM.Marshal(), c.Nonce, c.Payload)
 }
 
 // UnmarshalCiphertext decodes a hybrid ciphertext produced by Marshal.
 func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
-	kem, data, err := readChunk(data)
+	kem, nonce, payload, err := readContainer(data)
 	if err != nil {
 		return nil, err
-	}
-	nonce, data, err := readChunk(data)
-	if err != nil {
-		return nil, err
-	}
-	payload, rest, err := readChunk(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrEncoding)
 	}
 	kemCT, err := core.UnmarshalCiphertext(kem)
 	if err != nil {
@@ -67,23 +51,12 @@ func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 }
 
 // Marshal encodes the re-encrypted hybrid ciphertext.
-func (c *ReCiphertext) Marshal() []byte {
-	kem := c.KEM.Marshal()
-	out := make([]byte, 0, 12+len(kem)+len(c.Nonce)+len(c.Payload))
-	out = appendChunk(out, kem)
-	out = appendChunk(out, c.Nonce)
-	out = appendChunk(out, c.Payload)
-	return out
-}
+func (c *ReCiphertext) Marshal() []byte { return c.AppendTo(nil) }
 
 // AppendTo appends the Marshal encoding to out and returns the extended
-// slice, letting hot serving paths (the HTTP frame writer's buffer pool)
-// reuse one backing array across containers instead of allocating per
-// response.
+// slice.
 func (c *ReCiphertext) AppendTo(out []byte) []byte {
-	out = appendChunk(out, c.KEM.Marshal())
-	out = appendChunk(out, c.Nonce)
-	return appendChunk(out, c.Payload)
+	return appendContainer(out, c.KEM.Marshal(), c.Nonce, c.Payload)
 }
 
 // appendReEncoded appends the encoding of ReEncryptPrepared(ct, prk),
@@ -92,29 +65,18 @@ func (c *ReCiphertext) AppendTo(out []byte) []byte {
 // encoding and allocates nothing when dst has room.
 func appendReEncoded(dst []byte, ct *Ciphertext, prk *core.PreparedReKey, e *core.ReEncoding) []byte {
 	at := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // the KEM chunk's length, set below
+	dst = append(dst, 0, 0, 0, 0) // the KEM field's length, set below
 	dst = prk.AppendReCiphertext(dst, ct.KEM, e)
 	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
-	dst = appendChunk(dst, ct.Nonce)
-	return appendChunk(dst, ct.Payload)
+	dst = wire.AppendField(dst, ct.Nonce)
+	return wire.AppendField(dst, ct.Payload)
 }
 
 // UnmarshalReCiphertext decodes a re-encrypted hybrid ciphertext.
 func UnmarshalReCiphertext(data []byte) (*ReCiphertext, error) {
-	kem, data, err := readChunk(data)
+	kem, nonce, payload, err := readContainer(data)
 	if err != nil {
 		return nil, err
-	}
-	nonce, data, err := readChunk(data)
-	if err != nil {
-		return nil, err
-	}
-	payload, rest, err := readChunk(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrEncoding)
 	}
 	kemCT, err := core.UnmarshalReCiphertext(kem)
 	if err != nil {

@@ -1,12 +1,12 @@
 package phr
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"typepre/internal/hybrid"
+	"typepre/internal/wire"
 )
 
 // ErrStorage marks a backend failure below the record model: an I/O error,
@@ -74,67 +74,23 @@ type Backend interface {
 // All integers big-endian. The encoding is deterministic for a given
 // record.
 
-// maxRecordFieldBytes bounds any single length-prefixed field during
-// decoding, rejecting absurd prefixes before allocation.
-const maxRecordFieldBytes = 1 << 30
-
-func appendField(buf, field []byte) []byte {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(field)))
-	buf = append(buf, lenBuf[:]...)
-	return append(buf, field...)
-}
-
-func takeField(b []byte) (field, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, errors.New("truncated field length")
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n > maxRecordFieldBytes || uint64(n) > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("field of %d bytes exceeds remaining %d", n, len(b))
-	}
-	return b[:n], b[n:], nil
-}
-
 // MarshalRecord appends the storage wire form of rec to buf and returns
 // the extended slice.
 func MarshalRecord(buf []byte, rec *EncryptedRecord) []byte {
-	buf = appendField(buf, []byte(rec.ID))
-	buf = appendField(buf, []byte(rec.PatientID))
-	buf = appendField(buf, []byte(rec.Category))
-	var tsBuf [8]byte
-	binary.BigEndian.PutUint64(tsBuf[:], uint64(rec.CreatedAt.UnixNano()))
-	buf = append(buf, tsBuf[:]...)
-	return appendField(buf, rec.Sealed.Marshal())
+	buf = wire.AppendField(buf, rec.ID)
+	buf = wire.AppendField(buf, rec.PatientID)
+	buf = wire.AppendField(buf, rec.Category)
+	buf = wire.AppendUint64(buf, uint64(rec.CreatedAt.UnixNano()))
+	return wire.AppendField(buf, rec.Sealed.Marshal())
 }
 
 // UnmarshalRecord decodes one record from its storage wire form. The
 // whole input must be consumed: trailing bytes are an error.
 func UnmarshalRecord(b []byte) (*EncryptedRecord, error) {
-	id, b, err := takeField(b)
-	if err != nil {
-		return nil, fmt.Errorf("phr: record id: %w", err)
-	}
-	patient, b, err := takeField(b)
-	if err != nil {
-		return nil, fmt.Errorf("phr: record patient: %w", err)
-	}
-	category, b, err := takeField(b)
-	if err != nil {
-		return nil, fmt.Errorf("phr: record category: %w", err)
-	}
-	if len(b) < 8 {
-		return nil, errors.New("phr: record timestamp truncated")
-	}
-	ts := int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	sealedBytes, b, err := takeField(b)
-	if err != nil {
-		return nil, fmt.Errorf("phr: record body: %w", err)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("phr: %d trailing bytes after record", len(b))
+	r := wire.NewReader(b)
+	id, patient, category, ts, sealedBytes := r.Field(), r.Field(), r.Field(), r.Uint64(), r.Field()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("phr: record: %w", err)
 	}
 	sealed, err := hybrid.UnmarshalCiphertext(sealedBytes)
 	if err != nil {
@@ -144,7 +100,7 @@ func UnmarshalRecord(b []byte) (*EncryptedRecord, error) {
 		ID:        string(id),
 		PatientID: string(patient),
 		Category:  Category(category),
-		CreatedAt: time.Unix(0, ts),
+		CreatedAt: time.Unix(0, int64(ts)),
 		Sealed:    sealed,
 	}, nil
 }

@@ -1,9 +1,7 @@
 package diskstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -58,7 +56,6 @@ func (s *Store) Compact() error {
 	// verbatim off disk; a replace entry becomes a put in the new log.
 	newLocs := make(map[string]entryLoc, len(s.index))
 	var liveBytes int64
-	frame := []byte(nil)
 	for _, p := range s.records.Patients() {
 		for _, id := range s.records.IDs(p) {
 			loc := s.index[id]
@@ -67,35 +64,19 @@ func (s *Store) Compact() error {
 				return err
 			}
 			payload[0] = opPut
-			frame = frame[:0]
-			frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-			frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-			frame = append(frame, payload...)
-
-			f := s.segs[s.activeID]
-			if _, err := f.WriteAt(frame, s.activeSize); err != nil {
-				return fmt.Errorf("%w: compact append: %w", phr.ErrStorage, err)
+			seg, off, err := s.appendEntry(payload, false)
+			if err != nil {
+				return err
 			}
-			newLocs[id] = entryLoc{
-				seg: s.activeID, off: s.activeSize + frameHeaderLen,
-				n: int32(len(payload)), patient: loc.patient, category: loc.category,
-			}
-			s.activeSize += int64(len(frame))
+			newLocs[id] = entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: loc.patient, category: loc.category}
 			liveBytes += int64(len(payload))
-			if s.activeSize >= s.opts.SegmentBytes {
-				if err := f.Sync(); err != nil {
-					return fmt.Errorf("%w: fsync: %w", phr.ErrStorage, err)
-				}
-				if err := s.createSegment(s.activeID + 1); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	// Make the compacted copies durable before any old entry disappears.
 	if err := s.segs[s.activeID].Sync(); err != nil {
 		return fmt.Errorf("%w: fsync: %w", phr.ErrStorage, err)
 	}
+	s.dirty = false
 
 	// Point the index at the new copies, then drop the old segments,
 	// oldest first.

@@ -398,9 +398,11 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// appendEntry writes one framed payload to the active segment, applying
-// the fsync policy and rotating past the size threshold. Caller holds mu.
-func (s *Store) appendEntry(payload []byte) (seg int, off int64, err error) {
+// appendEntry writes one u32 len | u32 crc | payload frame to the active
+// segment and returns where the payload landed. It rotates past the size
+// threshold, syncing the full segment first; otherwise it syncs when
+// syncNow is set and marks the segment dirty when not. Caller holds mu.
+func (s *Store) appendEntry(payload []byte, syncNow bool) (seg int, off int64, err error) {
 	frame := make([]byte, frameHeaderLen+len(payload))
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
@@ -413,15 +415,8 @@ func (s *Store) appendEntry(payload []byte) (seg int, off int64, err error) {
 	seg, off = s.activeID, s.activeSize+frameHeaderLen
 	s.activeSize += int64(len(frame))
 
-	if s.opts.Fsync == FsyncAlways {
-		if err := f.Sync(); err != nil {
-			return 0, 0, fmt.Errorf("%w: fsync: %w", phr.ErrStorage, err)
-		}
-	} else {
-		s.dirty = true
-	}
-
-	if s.activeSize >= s.opts.SegmentBytes {
+	switch {
+	case s.activeSize >= s.opts.SegmentBytes:
 		// Rotate: seal the full segment (sync it so the rotation boundary
 		// is durable) and start the next one.
 		if err := f.Sync(); err != nil {
@@ -431,6 +426,12 @@ func (s *Store) appendEntry(payload []byte) (seg int, off int64, err error) {
 		if err := s.createSegment(s.activeID + 1); err != nil {
 			return 0, 0, err
 		}
+	case syncNow:
+		if err := f.Sync(); err != nil {
+			return 0, 0, fmt.Errorf("%w: fsync: %w", phr.ErrStorage, err)
+		}
+	default:
+		s.dirty = true
 	}
 	return seg, off, nil
 }
@@ -502,7 +503,7 @@ func (s *Store) Put(r *phr.EncryptedRecord) error {
 	if _, ok := s.index[r.ID]; ok {
 		return fmt.Errorf("%w: %s", phr.ErrDuplicate, r.ID)
 	}
-	seg, off, err := s.appendEntry(payload)
+	seg, off, err := s.appendEntry(payload, s.opts.Fsync == FsyncAlways)
 	if err != nil {
 		return err
 	}
@@ -531,7 +532,7 @@ func (s *Store) Replace(r *phr.EncryptedRecord) error {
 	if old.patient != r.PatientID || old.category != r.Category {
 		return fmt.Errorf("phr: replace of %s cannot change routing metadata", r.ID)
 	}
-	seg, off, err := s.appendEntry(payload)
+	seg, off, err := s.appendEntry(payload, s.opts.Fsync == FsyncAlways)
 	if err != nil {
 		return err
 	}
@@ -569,7 +570,7 @@ func (s *Store) Delete(id string) error {
 		return fmt.Errorf("%w: %s", phr.ErrNotFound, id)
 	}
 	payload := append([]byte{opDelete}, id...)
-	if _, _, err := s.appendEntry(payload); err != nil {
+	if _, _, err := s.appendEntry(payload, s.opts.Fsync == FsyncAlways); err != nil {
 		return err
 	}
 	s.dropFromIndex(id, loc)

@@ -3,6 +3,8 @@ package phr
 import (
 	"bytes"
 	"testing"
+
+	"typepre/internal/ibe"
 )
 
 // TestMarshalRecordRoundTrip decodes the storage wire form of real records
@@ -85,4 +87,32 @@ func TestUnmarshalRecordRejectsMalformed(t *testing.T) {
 	if _, err := UnmarshalRecord(append(wire, 0)); err == nil {
 		t.Fatal("accepted a trailing byte")
 	}
+}
+
+// FuzzUnmarshalRecord runs the disk backend's payload decoder over
+// arbitrary bytes: it must not panic, and whatever it accepts must
+// re-encode to the same bytes.
+func FuzzUnmarshalRecord(f *testing.F) {
+	kgc, err := ibe.Setup("recordfuzz-kgc", nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	store := NewStore()
+	rec, err := NewPatient(kgc, "alice@recordfuzz").AddRecord(store, CategoryEmergency, []byte("body"), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := MarshalRecord(nil, rec)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7C})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := UnmarshalRecord(data)
+		if err != nil {
+			return
+		}
+		if out := MarshalRecord(nil, rec); !bytes.Equal(out, data) {
+			t.Fatalf("accepted %x but re-encodes it as %x", data, out)
+		}
+	})
 }

@@ -114,17 +114,10 @@ type Workload struct {
 
 // GenerateWorkload builds the corpus: KGCs, patients, requesters, records,
 // and grants, with deterministic structure given the seed (the cryptography
-// itself uses crypto/rand and is necessarily randomized).
+// itself uses crypto/rand and is necessarily randomized unless
+// InsecureDeterministic is set).
 func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
-	return GenerateWorkloadFrom(cfg, rand.NewSource(cfg.Seed))
-}
-
-// GenerateWorkloadFrom is GenerateWorkload with an explicit randomness
-// source, so tests and benchmarks can reproduce a corpus exactly — or
-// share one progression of draws across several generations — independent
-// of the Seed field.
-func GenerateWorkloadFrom(cfg WorkloadConfig, src rand.Source) (*Workload, error) {
-	rng := rand.New(src)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	// cryptoRNG is what the key-generation and encryption paths draw from:
 	// crypto/rand normally, the seeded source in reproducible-corpus mode.
 	var cryptoRNG io.Reader

@@ -2,26 +2,26 @@ package phr
 
 import (
 	"bytes"
-	"math/rand"
 	"sort"
 	"testing"
 )
 
-// TestGenerateWorkloadFromDeterministic pins the reproducible-corpus mode:
+// TestGenerateWorkloadDeterministic pins the reproducible-corpus mode:
 // two generations from the same seed are byte-identical — same record IDs,
 // same plaintext bodies, same *sealed* bytes (nonces and KEM scalars drawn
 // from the seeded source), and same installed grants down to the marshaled
 // rekeys.
-func TestGenerateWorkloadFromDeterministic(t *testing.T) {
+func TestGenerateWorkloadDeterministic(t *testing.T) {
 	cfg := DefaultWorkload()
 	cfg.Patients = 2
 	cfg.RecordsPerPatient = 3
 	cfg.GrantsPerPatient = 2
 	cfg.InsecureDeterministic = true
+	cfg.Seed = 42
 
 	gen := func() *Workload {
 		t.Helper()
-		w, err := GenerateWorkloadFrom(cfg, rand.NewSource(42))
+		w, err := GenerateWorkload(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +74,13 @@ func TestGenerateWorkloadSeedsDiverge(t *testing.T) {
 	cfg.GrantsPerPatient = 0
 	cfg.InsecureDeterministic = true
 
-	a, err := GenerateWorkloadFrom(cfg, rand.NewSource(1))
+	cfg.Seed = 1
+	a, err := GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateWorkloadFrom(cfg, rand.NewSource(2))
+	cfg.Seed = 2
+	b, err := GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +98,13 @@ func TestGenerateWorkloadStructureOnlyDeterminism(t *testing.T) {
 	cfg.Patients = 1
 	cfg.RecordsPerPatient = 2
 	cfg.GrantsPerPatient = 1
+	cfg.Seed = 9
 
-	a, err := GenerateWorkloadFrom(cfg, rand.NewSource(9))
+	a, err := GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateWorkloadFrom(cfg, rand.NewSource(9))
+	b, err := GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
