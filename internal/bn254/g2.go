@@ -272,7 +272,19 @@ func putLimbs(out []byte, e *fp.Element) {
 
 // Unmarshal decodes a point previously produced by Marshal, verifying the
 // twist equation and order-r subgroup membership.
-func (p *G2) Unmarshal(data []byte) error {
+func (p *G2) Unmarshal(data []byte) error { return p.unmarshal(data, true) }
+
+// UnmarshalTrusted decodes Marshal's encoding of a point that was checked
+// when it entered the process and that nothing but this process could
+// have changed since, such as a point in a store's own segment files,
+// which only the server process may write. It verifies the length and
+// that every coordinate is a canonical field element, so Marshal gives
+// data back, and nothing else: a point off the twist decodes. A CRC over
+// the bytes detects accidental damage only; whoever can write them can
+// recompute it, so that write access is what the caller trusts.
+func (p *G2) UnmarshalTrusted(data []byte) error { return p.unmarshal(data, false) }
+
+func (p *G2) unmarshal(data []byte, checkPoint bool) error {
 	if len(data) != G2Size {
 		return fmt.Errorf("bn254: invalid G2 encoding length %d", len(data))
 	}
@@ -289,12 +301,15 @@ func (p *G2) Unmarshal(data []byte) error {
 		p.y.SetZero()
 		return nil
 	}
-	for i, c := range []*fp.Element{&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1} {
+	for i, c := range [...]*fp.Element{&p.x.c0, &p.x.c1, &p.y.c0, &p.y.c1} {
 		if !c.SetBytes(data[i*32 : (i+1)*32]) {
 			return errors.New("bn254: G2 coordinate out of range")
 		}
 	}
 	p.inf = false
+	if !checkPoint {
+		return nil
+	}
 	if !p.IsOnCurve() {
 		return errors.New("bn254: G2 point not on twist curve")
 	}

@@ -31,15 +31,38 @@ func readIDs(r *wire.Reader) (t Type, delegator, delegatee string) {
 }
 
 // Marshal encodes the ciphertext as C1‖C2‖len(Type)‖Type.
+//
+// phrlint:root the encoding of the public typepre.Ciphertext (README "Quick start")
 func (c *Ciphertext) Marshal() []byte {
-	out := make([]byte, 0, bn254.G2Size+bn254.GTSize+4+len(c.Type))
-	out = append(out, c.C1.Marshal()...)
-	out = append(out, c.C2.Marshal()...)
-	return wire.AppendField(out, c.Type)
+	return c.AppendTo(make([]byte, 0, bn254.G2Size+bn254.GTSize+4+len(c.Type)))
 }
 
-// UnmarshalCiphertext decodes a Ciphertext produced by Marshal.
-func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
+// AppendTo appends Marshal's encoding of c to dst.
+func (c *Ciphertext) AppendTo(dst []byte) []byte {
+	var c1 [bn254.G2Size]byte
+	var c2 [bn254.GTSize]byte
+	c.C1.MarshalTo(&c1)
+	c.C2.MarshalTo(&c2)
+	dst = append(dst, c1[:]...)
+	dst = append(dst, c2[:]...)
+	return wire.AppendField(dst, c.Type)
+}
+
+// UnmarshalCiphertext decodes a Ciphertext produced by Marshal, checking
+// that C1 is a point of G2.
+func UnmarshalCiphertext(data []byte) (*Ciphertext, error) { return unmarshalCiphertext(data, true) }
+
+// UnmarshalTrustedCiphertext decodes a Ciphertext produced by Marshal
+// whose C1 was checked when it entered the process and whose bytes only
+// this process could have written since, such as a store's own segment
+// files (bn254.G2.UnmarshalTrusted says what that trust rests on). It
+// checks the encoding's structure and that every coordinate is a
+// canonical field element, and does no curve or subgroup work.
+func UnmarshalTrustedCiphertext(data []byte) (*Ciphertext, error) {
+	return unmarshalCiphertext(data, false)
+}
+
+func unmarshalCiphertext(data []byte, checkPoint bool) (*Ciphertext, error) {
 	r := wire.NewReader(data)
 	c1b, c2b, t := r.Next(bn254.G2Size), r.Next(bn254.GTSize), r.Field()
 	if err := r.Done(); err != nil {
@@ -47,7 +70,13 @@ func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	}
 	var c1 bn254.G2
 	var c2 bn254.GT
-	if err := errors.Join(c1.Unmarshal(c1b), c2.Unmarshal(c2b)); err != nil {
+	var c1err error
+	if checkPoint {
+		c1err = c1.Unmarshal(c1b)
+	} else {
+		c1err = c1.UnmarshalTrusted(c1b)
+	}
+	if err := errors.Join(c1err, c2.Unmarshal(c2b)); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEncoding, err)
 	}
 	return &Ciphertext{C1: &c1, C2: &c2, Type: Type(t)}, nil

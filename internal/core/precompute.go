@@ -148,14 +148,13 @@ func (p *PreparedReKey) Transform(ct *Ciphertext) (*ReEncoding, error) {
 	return e, nil
 }
 
-// AppendReCiphertext appends to dst the Marshal encoding of ct's
-// re-encryption from its re-encoding e, which Lookup or Transform
-// returned for this ct: c1's encoding, then e, then the key's constant
-// tail. It does no field arithmetic but c1's encoding.
-func (p *PreparedReKey) AppendReCiphertext(dst []byte, ct *Ciphertext, e *ReEncoding) []byte {
-	var c1 [bn254.G2Size]byte
-	ct.C1.MarshalTo(&c1)
-	dst = append(dst, c1[:]...)
+// AppendReCiphertext appends to dst the Marshal encoding of the
+// re-encryption of a ciphertext from c1, the G2Size bytes of its C1's
+// encoding, and its re-encoding e, which Lookup or Transform returned for
+// it: c1, then e, then the key's constant tail. It does no field
+// arithmetic.
+func (p *PreparedReKey) AppendReCiphertext(dst, c1 []byte, e *ReEncoding) []byte {
+	dst = append(dst, c1...)
 	dst = append(dst, e[:]...)
 	return append(dst, p.tail...)
 }

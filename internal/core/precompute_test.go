@@ -213,8 +213,8 @@ func assertCounts(t *testing.T, stats *CacheStats, hits, misses, evictions uint6
 
 // TestCacheKeyIsC1AndC2 checks that the cache keys on the ciphertext's
 // content, both c1 and c2: a byte-identical re-upload (a fresh decode of
-// the same bytes) hits, and a ciphertext that reuses c1 with another c2
-// misses and gets its own c2′.
+// the same bytes, checked or as a store reads it back) hits, and a
+// ciphertext that reuses c1 with another c2 misses and gets its own c2′.
 func TestCacheKeyIsC1AndC2(t *testing.T) {
 	ct, rk, prk, stats := cacheFixture(t)
 	if e, err := prk.Lookup(ct); e != nil || err != nil {
@@ -239,6 +239,16 @@ func TestCacheKeyIsC1AndC2(t *testing.T) {
 	}
 	assertCounts(t, stats, 1, 1, 0)
 
+	// A store's read-back decodes without point checks to the same limbs.
+	readBack, err := UnmarshalTrustedCiphertext(ct.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := prk.Lookup(readBack); e == nil || err != nil {
+		t.Fatalf("read-back lookup = %v, %v; want a hit", e, err)
+	}
+	assertCounts(t, stats, 2, 1, 0)
+
 	sibling := withC2(ct, bn254.GTBase())
 	if e, _ := prk.Lookup(sibling); e != nil {
 		t.Fatal("a ciphertext sharing only c1 hit the cache")
@@ -254,7 +264,7 @@ func TestCacheKeyIsC1AndC2(t *testing.T) {
 	if got.C2.Equal(first.C2) || !got.C2.Equal(want.C2) {
 		t.Fatal("a ciphertext sharing only c1 was served the other's c2′")
 	}
-	assertCounts(t, stats, 1, 2, 0)
+	assertCounts(t, stats, 2, 2, 0)
 }
 
 // TestCacheEvictsOneEntry fills the cache to its limit with distinct

@@ -51,12 +51,14 @@ func collect(cts []*Ciphertext, prk *core.PreparedReKey) ([]*ReCiphertext, error
 	return out, err
 }
 
-// decodeFrame checks a frame's length prefix and decodes its container.
+// decodeFrame checks a frame's length prefix and decodes a copy of its
+// container: the stream reuses the frame's buffer after yield, and the
+// decoded nonce and payload alias what they were decoded from.
 func decodeFrame(frame []byte) (*ReCiphertext, error) {
 	if n := binary.BigEndian.Uint32(frame); int(n) != len(frame)-FrameHeader {
 		return nil, fmt.Errorf("frame prefix %d, container %d bytes", n, len(frame)-FrameHeader)
 	}
-	return UnmarshalReCiphertext(frame[FrameHeader:])
+	return UnmarshalReCiphertext(bytes.Clone(frame[FrameHeader:]))
 }
 
 // TestReEncryptBatchMatchesSerial pins batch re-encryption at every pool

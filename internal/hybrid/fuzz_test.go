@@ -52,8 +52,14 @@ func FuzzCiphertextRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(c.Marshal(), data) {
+		// c writes back the bytes it keeps; its decoded fields must
+		// encode to them too.
+		if !bytes.Equal(c.WithoutEncoding().Marshal(), data) {
 			t.Fatal("accepted non-canonical hybrid ciphertext encoding")
+		}
+		trusted, err := UnmarshalTrustedCiphertext(data)
+		if err != nil || !bytes.Equal(trusted.WithoutEncoding().Marshal(), data) {
+			t.Fatalf("the trusted decoder rejects or changes a checked encoding: %v", err)
 		}
 	})
 }
@@ -80,7 +86,10 @@ func FuzzReCiphertextRoundTrip(f *testing.F) {
 // cache miss and on the hit that follows, ReEncryptStream yields the
 // length prefix and exactly the bytes of ReEncryptPrepared(ct,
 // prk).AppendTo, which equal those of the unprepared ReEncrypt, for any
-// type label, delegatee identity, nonce and payload.
+// type label, delegatee identity, nonce and payload. It does so for a
+// ciphertext built in process, whose c1 the frame encodes, and for the
+// same ciphertext as a store reads it back (UnmarshalTrustedCiphertext),
+// whose frame copies c1, the nonce and the payload from the kept bytes.
 func FuzzFrameVsReEncrypt(f *testing.F) {
 	kgc1, err := ibe.Setup("frame-fuzz-kgc1", nil)
 	if err != nil {
@@ -113,25 +122,34 @@ func FuzzFrameVsReEncrypt(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := plain.AppendTo(nil)
+		stored, err := UnmarshalTrustedCiphertext(ct.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
 
-		prk := core.PrepareReKey(rk)
-		for _, pass := range []string{"miss", "hit"} {
-			var got []byte
-			if err := ReEncryptStream([]*Ciphertext{ct}, prk, func(frame []byte, _ bool) error {
-				got = append(got, frame...)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := decodeFrame(got); err != nil || !bytes.Equal(got[FrameHeader:], want) {
-				t.Fatalf("%s: frame differs from ReEncrypt's encoding (%v)", pass, err)
-			}
-			rct, err := ReEncryptPrepared(ct, prk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rct.AppendTo(nil), want) {
-				t.Fatalf("%s: ReEncryptPrepared differs from ReEncrypt", pass)
+		for _, in := range []struct {
+			name string
+			ct   *Ciphertext
+		}{{"in process", ct}, {"read back", stored}} {
+			prk := core.PrepareReKey(rk)
+			for _, pass := range []string{"miss", "hit"} {
+				var got []byte
+				if err := ReEncryptStream([]*Ciphertext{in.ct}, prk, func(frame []byte, _ bool) error {
+					got = append(got, frame...)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := decodeFrame(got); err != nil || !bytes.Equal(got[FrameHeader:], want) {
+					t.Fatalf("%s, %s: frame differs from ReEncrypt's encoding (%v)", in.name, pass, err)
+				}
+				rct, err := ReEncryptPrepared(in.ct, prk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rct.AppendTo(nil), want) {
+					t.Fatalf("%s, %s: ReEncryptPrepared differs from ReEncrypt", in.name, pass)
+				}
 			}
 		}
 	})

@@ -45,10 +45,19 @@ func deriveKey(k *bn254.GT) demKey {
 
 // Ciphertext is a hybrid ciphertext: a PRE-encrypted KEM plus a sealed
 // payload. Both parts carry the message type.
+//
+// A Ciphertext decoded from bytes keeps them as its encoding (see
+// UnmarshalCiphertext), so its fields must not be modified: build a new
+// Ciphertext instead.
 type Ciphertext struct {
 	KEM     *core.Ciphertext
 	Nonce   []byte
 	Payload []byte // AES-GCM sealed
+
+	// enc is the container c was decoded from; nil for a ciphertext built
+	// in process. A pointer keeps such a Ciphertext, such as every record
+	// the memory store holds, the size of its three public fields.
+	enc *[]byte
 }
 
 // ReCiphertext is the re-encrypted form: the KEM has been transformed by

@@ -3,6 +3,7 @@ package phr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"typepre/internal/hybrid"
@@ -24,7 +25,7 @@ var ErrStorage = errors.New("phr: storage failure")
 // Methods that carry record payloads (Put, Replace, Get, Delete and the
 // two List methods) return errors: a durable backend reads sealed bodies
 // from disk and must be able to report failure. The index-only queries
-// (Count, Patients, Categories) are served from memory in every
+// (Route, Count, Patients) are served from memory in every
 // implementation and cannot fail.
 //
 // All methods must be safe for concurrent use. Returned records are
@@ -48,6 +49,9 @@ type Backend interface {
 	// ListByPatientCategory returns a patient's records of one category in
 	// insertion order — the secondary-index read path proxies use.
 	ListByPatientCategory(patientID string, c Category) ([]*EncryptedRecord, error)
+	// Route returns a record's patient and category from the index,
+	// reading no payload; ok is false when the record is absent.
+	Route(id string) (patientID string, c Category, ok bool)
 	// Count returns the total number of records.
 	Count() int
 	// Patients returns the sorted patient IDs with at least one record.
@@ -75,24 +79,54 @@ type Backend interface {
 // record.
 
 // MarshalRecord appends the storage wire form of rec to buf and returns
-// the extended slice.
+// the extended slice. A sealed ciphertext decoded from bytes is written
+// as those bytes (hybrid.Ciphertext.AppendTo).
 func MarshalRecord(buf []byte, rec *EncryptedRecord) []byte {
+	buf = slices.Grow(buf, RecordSize(rec))
 	buf = wire.AppendField(buf, rec.ID)
 	buf = wire.AppendField(buf, rec.PatientID)
 	buf = wire.AppendField(buf, rec.Category)
 	buf = wire.AppendUint64(buf, uint64(rec.CreatedAt.UnixNano()))
-	return wire.AppendField(buf, rec.Sealed.Marshal())
+	buf, at := wire.BeginField(buf)
+	buf = rec.Sealed.AppendTo(buf)
+	wire.EndField(buf, at)
+	return buf
 }
 
-// UnmarshalRecord decodes one record from its storage wire form. The
-// whole input must be consumed: trailing bytes are an error.
-func UnmarshalRecord(b []byte) (*EncryptedRecord, error) {
+// RecordSize returns the length of rec's storage wire form.
+func RecordSize(rec *EncryptedRecord) int {
+	return 24 + len(rec.ID) + len(rec.PatientID) + len(rec.Category) + rec.Sealed.Size()
+}
+
+// splitRecord splits the storage wire form into its fields; sealed is the
+// ciphertext container, checked for its framing only.
+func splitRecord(b []byte) (id, patient, category []byte, ts uint64, sealed []byte, err error) {
 	r := wire.NewReader(b)
-	id, patient, category, ts, sealedBytes := r.Field(), r.Field(), r.Field(), r.Uint64(), r.Field()
+	id, patient, category, ts, sealed = r.Field(), r.Field(), r.Field(), r.Uint64(), r.Field()
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("phr: record: %w", err)
+		return nil, nil, nil, 0, nil, fmt.Errorf("phr: record: %w", err)
 	}
-	sealed, err := hybrid.UnmarshalCiphertext(sealedBytes)
+	if err := hybrid.CheckContainer(sealed); err != nil {
+		return nil, nil, nil, 0, nil, fmt.Errorf("phr: record ciphertext: %w", err)
+	}
+	return id, patient, category, ts, sealed, nil
+}
+
+// UnmarshalTrustedRecord decodes one record from the storage wire form
+// that a store wrote after a checked put and read back from files only
+// the server process may write (the disk backend's segments; their CRC
+// detects accidental damage, not a writer who recomputes it). The sealed
+// ciphertext decodes through hybrid.UnmarshalTrustedCiphertext: structure
+// and coordinate ranges, no curve or subgroup work. It aliases b and keeps
+// its own bytes of b as its encoding, so b must not be modified
+// afterwards. The whole input must be consumed: trailing bytes are an
+// error.
+func UnmarshalTrustedRecord(b []byte) (*EncryptedRecord, error) {
+	id, patient, category, ts, sealedBytes, err := splitRecord(b)
+	if err != nil {
+		return nil, err
+	}
+	sealed, err := hybrid.UnmarshalTrustedCiphertext(sealedBytes)
 	if err != nil {
 		return nil, fmt.Errorf("phr: record ciphertext: %w", err)
 	}
@@ -103,4 +137,16 @@ func UnmarshalRecord(b []byte) (*EncryptedRecord, error) {
 		CreatedAt: time.Unix(0, int64(ts)),
 		Sealed:    sealed,
 	}, nil
+}
+
+// RecordRoute reads a record's ID and routing metadata from its storage
+// wire form, checking the framing of the record and of its sealed
+// container and decoding no ciphertext: what the disk backend's replay
+// needs to rebuild its indexes.
+func RecordRoute(b []byte) (id, patientID string, c Category, err error) {
+	idb, patient, category, _, _, err := splitRecord(b)
+	if err != nil {
+		return "", "", "", err
+	}
+	return string(idb), string(patient), Category(category), nil
 }

@@ -225,6 +225,32 @@ func TestBackendPatientsAndCategories(t *testing.T) {
 	})
 }
 
+// TestBackendRoute checks the index-only lookup of a record's patient and
+// category: present after a put, unchanged by a replace, absent after a
+// delete and for an ID never stored.
+func TestBackendRoute(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b phr.Backend) {
+		route := func(id, wantPatient string, wantC phr.Category, wantOK bool) {
+			t.Helper()
+			if p, c, ok := b.Route(id); p != wantPatient || c != wantC || ok != wantOK {
+				t.Fatalf("Route(%s) = %q, %q, %v; want %q, %q, %v", id, p, c, ok, wantPatient, wantC, wantOK)
+			}
+		}
+		route("a1", "", "", false)
+		put(t, b, "a1", "alice", phr.CategoryEmergency)
+		put(t, b, "b1", "bob", phr.CategoryMedication)
+		route("a1", "alice", phr.CategoryEmergency, true)
+		route("b1", "bob", phr.CategoryMedication, true)
+		if err := b.Replace(&phr.EncryptedRecord{ID: "a1", PatientID: "alice", Category: phr.CategoryEmergency, Sealed: contractSealed()}); err != nil {
+			t.Fatal(err)
+		}
+		route("a1", "alice", phr.CategoryEmergency, true)
+		del(t, b, "a1")
+		route("a1", "", "", false)
+		route("b1", "bob", phr.CategoryMedication, true)
+	})
+}
+
 // TestBackendReadsAfterCloseFail pins the Close half of the contract on
 // the read side: once closed, Get and both List methods return
 // ErrStorage, never the records the backend held.

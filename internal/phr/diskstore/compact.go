@@ -59,17 +59,20 @@ func (s *Store) Compact() error {
 	for _, p := range s.records.Patients() {
 		for _, id := range s.records.IDs(p) {
 			loc := s.index[id]
-			payload, err := s.readPayload(loc)
+			frame, err := s.readFrame(loc)
 			if err != nil {
 				return err
 			}
-			payload[0] = opPut
-			seg, off, err := s.appendEntry(payload, false)
+			if err := checkFrame(frame); err != nil {
+				return err
+			}
+			frame[frameHeaderLen] = opPut
+			seg, off, err := s.appendEntry(frame, false)
 			if err != nil {
 				return err
 			}
-			newLocs[id] = entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: loc.patient, category: loc.category}
-			liveBytes += int64(len(payload))
+			newLocs[id] = entryLoc{seg: seg, off: off, n: loc.n, patient: loc.patient, category: loc.category}
+			liveBytes += int64(loc.n)
 		}
 	}
 	// Make the compacted copies durable before any old entry disappears.

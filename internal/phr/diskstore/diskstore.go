@@ -18,6 +18,12 @@
 // and offsets only, so the store's footprint is bounded by record count,
 // not record bytes.
 //
+// Reads trust the log: a put's ciphertext was checked when it was
+// uploaded, so Get and the List methods verify a frame's CRC and decode
+// its record with phr.UnmarshalTrustedRecord (no curve or subgroup work),
+// and replay parses a record's routing metadata only (phr.RecordRoute).
+// docs/storage.md lists what is checked where.
+//
 // Recovery is WAL-style: replay stops at the first torn frame (short
 // header, short body, or CRC mismatch) in the final segment and truncates
 // the tail there — a crash mid-append loses at most the unacknowledged
@@ -155,12 +161,12 @@ type Store struct {
 	opts Options
 
 	mu     sync.RWMutex
-	closed bool
+	closed bool // phrlint:guardedby mu
 
-	index   map[string]entryLoc // record ID → log location
+	index   map[string]entryLoc // phrlint:guardedby mu — record ID → log location
 	records phr.RecordIndex     // phrlint:guardedby mu
 
-	segs       map[int]*os.File
+	segs       map[int]*os.File // phrlint:guardedby mu
 	activeID   int
 	activeSize int64
 	dirty      bool // unsynced appends on the active segment
@@ -331,26 +337,28 @@ func (s *Store) replaySegment(id int, last bool) error {
 	return nil
 }
 
-// applyEntry replays one decoded payload into the indexes. Replay is an
-// upsert for put/replace and a no-op delete for unknown IDs: compaction
-// may leave overlapping segments behind a crash, and later entries win.
+// applyEntry replays one payload into the indexes. Replay is an upsert
+// for put/replace and a no-op delete for unknown IDs: compaction may leave
+// overlapping segments behind a crash, and later entries win. A put or
+// replace is parsed for its ID and routing metadata only
+// (phr.RecordRoute): its ciphertext is decoded when the record is read.
 //
 // phrlint:locked mu
 func (s *Store) applyEntry(seg int, off int64, payload []byte) error {
 	switch payload[0] {
 	case opPut, opReplace:
-		rec, err := phr.UnmarshalRecord(payload[1:])
+		id, patient, category, err := phr.RecordRoute(payload[1:])
 		if err != nil {
 			return err
 		}
-		loc := entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: rec.PatientID, category: rec.Category}
-		if old, ok := s.index[rec.ID]; ok {
+		loc := entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: patient, category: category}
+		if old, ok := s.index[id]; ok {
 			s.garbageBytes += int64(old.n)
 			s.liveBytes -= int64(old.n)
 		} else {
-			s.records.Add(rec.ID, rec.PatientID, rec.Category)
+			s.records.Add(id, patient, category)
 		}
-		s.index[rec.ID] = loc
+		s.index[id] = loc
 		s.liveBytes += int64(len(payload))
 		return nil
 	case opDelete:
@@ -374,6 +382,9 @@ func (s *Store) dropFromIndex(id string, loc entryLoc) {
 	s.records.Remove(id, loc.patient, loc.category)
 }
 
+// createSegment creates segment id and makes it the active one.
+//
+// phrlint:locked mu
 func (s *Store) createSegment(id int) error {
 	path := filepath.Join(s.dir, segName(id))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -398,15 +409,26 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// appendEntry writes one u32 len | u32 crc | payload frame to the active
-// segment and returns where the payload landed. It rotates past the size
-// threshold, syncing the full segment first; otherwise it syncs when
-// syncNow is set and marks the segment dirty when not. Caller holds mu.
-func (s *Store) appendEntry(payload []byte, syncNow bool) (seg int, off int64, err error) {
-	frame := make([]byte, frameHeaderLen+len(payload))
+// newFrame returns the buffer of one log entry: frameHeaderLen bytes of
+// room for the header, then op, with capacity for size more bytes.
+func newFrame(op byte, size int) []byte {
+	frame := make([]byte, frameHeaderLen+1, frameHeaderLen+1+size)
+	frame[frameHeaderLen] = op
+	return frame
+}
+
+// appendEntry fills in the u32 len | u32 crc header of frame, a buffer
+// from newFrame with the entry's payload after the header, writes the
+// frame to the active segment and returns where the payload landed. It
+// rotates past the size threshold, syncing the full segment first;
+// otherwise it syncs when syncNow is set and marks the segment dirty when
+// not.
+//
+// phrlint:locked mu
+func (s *Store) appendEntry(frame []byte, syncNow bool) (seg int, off int64, err error) {
+	payload := frame[frameHeaderLen:]
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderLen:], payload)
 
 	f := s.segs[s.activeID]
 	if _, err := f.WriteAt(frame, s.activeSize); err != nil {
@@ -436,26 +458,41 @@ func (s *Store) appendEntry(payload []byte, syncNow bool) (seg int, off int64, e
 	return seg, off, nil
 }
 
-// readPayload fetches one live entry's payload. Caller holds mu (read or
-// write): segment files are only removed under the write lock.
-func (s *Store) readPayload(loc entryLoc) ([]byte, error) {
+// readFrame reads one live entry's frame, header included, as written;
+// checkFrame verifies it.
+//
+// phrlint:locked mu — read or write: segment files are only removed under
+// the write lock.
+func (s *Store) readFrame(loc entryLoc) ([]byte, error) {
 	f, ok := s.segs[loc.seg]
 	if !ok {
 		return nil, fmt.Errorf("%w: segment %d vanished", phr.ErrStorage, loc.seg)
 	}
-	payload := make([]byte, loc.n)
-	if _, err := f.ReadAt(payload, loc.off); err != nil {
+	frame := make([]byte, frameHeaderLen+int(loc.n))
+	if _, err := f.ReadAt(frame, loc.off-frameHeaderLen); err != nil {
 		return nil, fmt.Errorf("%w: read: %w", phr.ErrStorage, err)
 	}
-	return payload, nil
+	return frame, nil
 }
 
-func (s *Store) decodeRecord(loc entryLoc) (*phr.EncryptedRecord, error) {
-	payload, err := s.readPayload(loc)
-	if err != nil {
+// checkFrame verifies a frame read back from the log against its CRC.
+func checkFrame(frame []byte) error {
+	if crc32.ChecksumIEEE(frame[frameHeaderLen:]) != binary.BigEndian.Uint32(frame[4:8]) {
+		return fmt.Errorf("%w: %w: CRC mismatch reading a %d-byte entry", phr.ErrStorage, ErrCorrupt, len(frame)-frameHeaderLen)
+	}
+	return nil
+}
+
+// decodeRecord decodes a put or replace frame read back from the log. The
+// store wrote it after the put's checks and its CRC verifies here, so the
+// record decodes through the trusted path (phr.UnmarshalTrustedRecord): no
+// curve or subgroup work, and the sealed ciphertext keeps the frame's
+// bytes as its encoding.
+func decodeRecord(frame []byte) (*phr.EncryptedRecord, error) {
+	if err := checkFrame(frame); err != nil {
 		return nil, err
 	}
-	rec, err := phr.UnmarshalRecord(payload[1:])
+	rec, err := phr.UnmarshalTrustedRecord(frame[frameHeaderLen+1:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", phr.ErrStorage, err)
 	}
@@ -485,16 +522,14 @@ func (s *Store) flushLoop() {
 // phr.Backend
 // ---------------------------------------------------------------------------
 
-func encodeRecordPayload(op byte, r *phr.EncryptedRecord) []byte {
-	return phr.MarshalRecord([]byte{op}, r)
-}
-
-// Put inserts a record; ErrDuplicate if the ID exists.
+// Put inserts a record; ErrDuplicate if the ID exists. The entry is
+// encoded into its frame's buffer before the lock is taken: a ciphertext
+// decoded from an upload is copied in as its bytes, encoding no point.
 func (s *Store) Put(r *phr.EncryptedRecord) error {
 	if r == nil || r.ID == "" {
 		return fmt.Errorf("phr: invalid record")
 	}
-	payload := encodeRecordPayload(opPut, r)
+	frame := phr.MarshalRecord(newFrame(opPut, phr.RecordSize(r)), r)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -503,13 +538,14 @@ func (s *Store) Put(r *phr.EncryptedRecord) error {
 	if _, ok := s.index[r.ID]; ok {
 		return fmt.Errorf("%w: %s", phr.ErrDuplicate, r.ID)
 	}
-	seg, off, err := s.appendEntry(payload, s.opts.Fsync == FsyncAlways)
+	seg, off, err := s.appendEntry(frame, s.opts.Fsync == FsyncAlways)
 	if err != nil {
 		return err
 	}
-	s.index[r.ID] = entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: r.PatientID, category: r.Category}
+	n := int32(len(frame) - frameHeaderLen)
+	s.index[r.ID] = entryLoc{seg: seg, off: off, n: n, patient: r.PatientID, category: r.Category}
 	s.records.Add(r.ID, r.PatientID, r.Category)
-	s.liveBytes += int64(len(payload))
+	s.liveBytes += int64(n)
 	return nil
 }
 
@@ -519,7 +555,7 @@ func (s *Store) Replace(r *phr.EncryptedRecord) error {
 	if r == nil || r.ID == "" {
 		return fmt.Errorf("phr: invalid record")
 	}
-	payload := encodeRecordPayload(opReplace, r)
+	frame := phr.MarshalRecord(newFrame(opReplace, phr.RecordSize(r)), r)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -532,20 +568,33 @@ func (s *Store) Replace(r *phr.EncryptedRecord) error {
 	if old.patient != r.PatientID || old.category != r.Category {
 		return fmt.Errorf("phr: replace of %s cannot change routing metadata", r.ID)
 	}
-	seg, off, err := s.appendEntry(payload, s.opts.Fsync == FsyncAlways)
+	seg, off, err := s.appendEntry(frame, s.opts.Fsync == FsyncAlways)
 	if err != nil {
 		return err
 	}
-	s.index[r.ID] = entryLoc{seg: seg, off: off, n: int32(len(payload)), patient: old.patient, category: old.category}
+	n := int32(len(frame) - frameHeaderLen)
+	s.index[r.ID] = entryLoc{seg: seg, off: off, n: n, patient: old.patient, category: old.category}
 	s.garbageBytes += int64(old.n)
-	s.liveBytes += int64(len(payload)) - int64(old.n)
+	s.liveBytes += int64(n) - int64(old.n)
 	return nil
 }
 
-// Get fetches a record by ID.
+// Get fetches a record by ID. Its frame is read under the read lock and
+// checked and decoded after it, so a writer waits for one read only.
 func (s *Store) Get(id string) (*phr.EncryptedRecord, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	frame, err := s.readRecord(id)
+	s.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	return decodeRecord(frame)
+}
+
+// readRecord reads the frame of a live record.
+//
+// phrlint:locked mu — the caller holds (at least) the read lock.
+func (s *Store) readRecord(id string) ([]byte, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: store closed", phr.ErrStorage)
 	}
@@ -553,7 +602,15 @@ func (s *Store) Get(id string) (*phr.EncryptedRecord, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", phr.ErrNotFound, id)
 	}
-	return s.decodeRecord(loc)
+	return s.readFrame(loc)
+}
+
+// Route returns a record's patient and category from the index.
+func (s *Store) Route(id string) (patientID string, c phr.Category, ok bool) {
+	s.mu.RLock()
+	loc, ok := s.index[id]
+	s.mu.RUnlock()
+	return loc.patient, loc.category, ok
 }
 
 // Delete removes a record by ID, appending a tombstone.
@@ -569,45 +626,61 @@ func (s *Store) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", phr.ErrNotFound, id)
 	}
-	payload := append([]byte{opDelete}, id...)
-	if _, _, err := s.appendEntry(payload, s.opts.Fsync == FsyncAlways); err != nil {
+	frame := append(newFrame(opDelete, len(id)), id...)
+	if _, _, err := s.appendEntry(frame, s.opts.Fsync == FsyncAlways); err != nil {
 		return err
 	}
 	s.dropFromIndex(id, loc)
 	return nil
 }
 
-func (s *Store) list(ids []string) ([]*phr.EncryptedRecord, error) {
-	out := make([]*phr.EncryptedRecord, 0, len(ids))
-	for _, id := range ids {
-		rec, err := s.decodeRecord(s.index[id])
-		if err != nil {
+// readFrames reads the frames of live records.
+//
+// phrlint:locked mu — the caller holds (at least) the read lock.
+func (s *Store) readFrames(ids []string) ([][]byte, error) {
+	if s.closed {
+		return nil, fmt.Errorf("%w: store closed", phr.ErrStorage)
+	}
+	frames := make([][]byte, len(ids))
+	for i, id := range ids {
+		var err error
+		if frames[i], err = s.readFrame(s.index[id]); err != nil {
 			return nil, err
 		}
-		out = append(out, rec)
+	}
+	return frames, nil
+}
+
+// decodeRecords decodes the frames readFrames read, outside the lock.
+func decodeRecords(frames [][]byte, err error) ([]*phr.EncryptedRecord, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*phr.EncryptedRecord, len(frames))
+	for i, frame := range frames {
+		if out[i], err = decodeRecord(frame); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// ListByPatient returns all records of a patient in insertion order.
+// ListByPatient returns all records of a patient in insertion order. The
+// frames are read under the read lock and decoded after it.
 func (s *Store) ListByPatient(patientID string) ([]*phr.EncryptedRecord, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, fmt.Errorf("%w: store closed", phr.ErrStorage)
-	}
-	return s.list(s.records.IDs(patientID))
+	frames, err := s.readFrames(s.records.IDs(patientID))
+	s.mu.RUnlock()
+	return decodeRecords(frames, err)
 }
 
 // ListByPatientCategory returns a patient's records of one category in
-// insertion order.
+// insertion order, read as ListByPatient reads them.
 func (s *Store) ListByPatientCategory(patientID string, c phr.Category) ([]*phr.EncryptedRecord, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, fmt.Errorf("%w: store closed", phr.ErrStorage)
-	}
-	return s.list(s.records.IDsIn(patientID, c))
+	frames, err := s.readFrames(s.records.IDsIn(patientID, c))
+	s.mu.RUnlock()
+	return decodeRecords(frames, err)
 }
 
 // Count returns the total number of records.
@@ -650,6 +723,9 @@ func (s *Store) Close() error {
 	return nil
 }
 
+// closeFiles closes every segment file.
+//
+// phrlint:locked mu
 func (s *Store) closeFiles() {
 	for _, f := range s.segs {
 		f.Close()

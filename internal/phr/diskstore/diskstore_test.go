@@ -2,9 +2,13 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -332,6 +336,137 @@ func TestCorruptMiddleSegmentFailsOpen(t *testing.T) {
 	}
 }
 
+// TestReplayParsesMetadataOnly writes a frame whose CRC verifies but
+// whose c1 has a coordinate ≥ p. Replay parses a record's metadata and
+// its container's framing only, so the store opens with the record
+// indexed; reading it decodes c1 and fails with ErrStorage, on Get and on
+// a list that includes it, while the other records still read.
+func TestReplayParsesMetadataOnly(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	bad := testRecord("a/bad", "alice", phr.CategoryEmergency, 32)
+	for _, r := range []*phr.EncryptedRecord{bad, testRecord("b/good", "bob", phr.CategoryEmergency, 32)} {
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first frame holds a/bad: overwrite c1's first coordinate with
+	// 2^256−1 and reseal the frame's CRC.
+	path := filepath.Join(dir, segFiles(t, dir)[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.BigEndian.Uint32(data)
+	frame := data[:frameHeaderLen+n]
+	at := bytes.Index(frame, bad.Sealed.KEM.C1.Marshal())
+	if at < 0 {
+		t.Fatal("c1 not found in the first frame")
+	}
+	copy(frame[at:at+32], bytes.Repeat([]byte{0xff}, 32))
+	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[frameHeaderLen:]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir, Options{})
+	if n := s2.Count(); n != 2 {
+		t.Fatalf("Count after reopen = %d, want 2", n)
+	}
+	if _, err := s2.Get("a/bad"); !errors.Is(err, phr.ErrStorage) {
+		t.Fatalf("Get of the damaged record: %v, want ErrStorage", err)
+	}
+	if _, err := s2.ListByPatient("alice"); !errors.Is(err, phr.ErrStorage) {
+		t.Fatalf("ListByPatient over the damaged record: %v, want ErrStorage", err)
+	}
+	if _, err := s2.Get("b/good"); err != nil {
+		t.Fatalf("Get of an intact record: %v", err)
+	}
+}
+
+// TestReadChecksCRC flips a payload byte of a live record after the store
+// opened: the read verifies the frame's CRC and fails with ErrCorrupt,
+// not decoding what the store did not write.
+func TestReadChecksCRC(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	if err := s.Put(testRecord("a/1", "alice", phr.CategoryEmergency, 64)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segFiles(t, dir)[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("a/1"); !errors.Is(err, phr.ErrStorage) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of a flipped frame: %v, want ErrStorage and ErrCorrupt", err)
+	}
+}
+
+// TestFailedDiskReadIsAudited damages a granted record's frame on disk
+// and discloses it over HTTP through a Service on the store: the read
+// fails its CRC check, the request gets a 500, and the category's proxy
+// audits exactly one OutcomeError entry for that record and requester.
+func TestFailedDiskReadIsAudited(t *testing.T) {
+	kgc1, err := ibe.Setup("diskstore-audit-kgc1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kgc2, err := ibe.Setup("diskstore-audit-kgc2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requester = "dr-bob@clinic.example"
+	dir := t.TempDir()
+	svc := phr.NewService(phr.StandardCategories(), openT(t, dir, Options{}))
+	alice := phr.NewPatient(kgc1, "alice@phr.example")
+	rec, err := alice.AddRecord(svc.Store, phr.CategoryEmergency, []byte("bt O−"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := svc.ProxyFor(phr.CategoryEmergency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Grant(proxy, kgc2.Params(), requester, phr.CategoryEmergency, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, segFiles(t, dir)[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(phr.NewServer(svc))
+	defer ts.Close()
+	before := proxy.Audit().Len()
+	resp, err := http.Get(ts.URL + "/v1/records/" + url.PathEscape(rec.ID) + "?requester=" + url.QueryEscape(requester))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	entries := proxy.Audit().Tail(0)[before:]
+	if len(entries) != 1 || entries[0].Outcome != phr.OutcomeError || entries[0].RecordID != rec.ID || entries[0].Requester != requester {
+		t.Fatalf("audit entries %+v, want one %s on %s for %s", entries, phr.OutcomeError, rec.ID, requester)
+	}
+}
+
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{Fsync: FsyncInterval})
 	for i := 0; i < 8; i++ {
@@ -394,7 +529,9 @@ func TestSustains100kRecords(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	reopen := time.Now()
 	s2 := openT(t, dir, Options{})
+	t.Logf("reopened %d records in %v", n, time.Since(reopen))
 	if s2.Count() != n {
 		t.Fatalf("Count after reopen = %d, want %d", s2.Count(), n)
 	}

@@ -225,12 +225,24 @@ func httpError(w http.ResponseWriter, err error) {
 	}
 }
 
+// readBody reads a body whose declared length is n (-1 when unknown)
+// into one buffer of that length when n is within limit; otherwise it
+// reads at most limit+1 bytes, so a caller can tell "exactly limit" apart
+// from "over".
+func readBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n >= 0 && n <= limit {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r, limit+1))
+}
+
 // readLimitedBody reads at most limit bytes of the request body. A body
-// that exceeds the limit gets a 413 (read limit+1 bytes to tell "exactly
-// limit" apart from "over"); a transport error gets a 400. On failure the
-// response has been written and the caller must return.
+// that exceeds the limit gets a 413; a transport error gets a 400. On
+// failure the response has been written and the caller must return.
 func readLimitedBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	body, err := readBody(r.Body, r.ContentLength, limit)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
@@ -281,7 +293,8 @@ func (s *Server) handlePutRecord(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDisclose writes the one record's container straight from the
-// frame buffer of the disclosure engine.
+// frame buffer of the disclosure engine, with its Content-Length, so a
+// client can read it into a buffer of the right size.
 func (s *Server) handleDisclose(w http.ResponseWriter, r *http.Request) {
 	recordID := r.PathValue("id")
 	requester := r.URL.Query().Get("requester")
@@ -292,8 +305,10 @@ func (s *Server) handleDisclose(w http.ResponseWriter, r *http.Request) {
 	wrote := false
 	err := s.svc.discloseRecord(recordID, requester, func(frame []byte, _ bool) error {
 		wrote = true
+		container := frame[hybrid.FrameHeader:]
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, err := w.Write(frame[hybrid.FrameHeader:])
+		w.Header().Set("Content-Length", strconv.Itoa(len(container)))
+		_, err := w.Write(container)
 		return err
 	})
 	if err != nil && !wrote {
@@ -469,10 +484,10 @@ func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: http.DefaultClient}
 }
 
-// doStream issues the request and hands back the (open) response body on
-// the expected status. On any other status it consumes a bounded error
-// snippet and returns it as an error.
-func (c *Client) doStream(req *http.Request, wantStatus int) (io.ReadCloser, error) {
+// doStream issues the request and hands back the response, its body
+// open, on the expected status. On any other status it consumes a bounded
+// error snippet and returns it as an error.
+func (c *Client) doStream(req *http.Request, wantStatus int) (*http.Response, error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return nil, err
@@ -482,16 +497,16 @@ func (c *Client) doStream(req *http.Request, wantStatus int) (io.ReadCloser, err
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
 		return nil, fmt.Errorf("phr: %s %s: %s: %s", req.Method, req.URL.Path, resp.Status, snippet)
 	}
-	return resp.Body, nil
+	return resp, nil
 }
 
 func (c *Client) do(req *http.Request, wantStatus int) ([]byte, error) {
-	body, err := c.doStream(req, wantStatus)
+	resp, err := c.doStream(req, wantStatus)
 	if err != nil {
 		return nil, err
 	}
-	defer body.Close()
-	return io.ReadAll(body)
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
 }
 
 // PutRecord uploads a sealed record.
@@ -532,7 +547,11 @@ func (c *Client) RevokeGrant(patient string, category Category, requester string
 	return err
 }
 
-// Disclose fetches one record re-encrypted toward the requester.
+// Disclose fetches one record re-encrypted toward the requester. The
+// container is read into one buffer sized by the response's
+// Content-Length and decoded with every check (hybrid.UnmarshalReCiphertext);
+// the result's nonce and payload are slices of that buffer. A response
+// longer than a frame may be is an error wrapping ErrFrameTooLarge.
 func (c *Client) Disclose(recordID, requester string) (*hybrid.ReCiphertext, error) {
 	u := fmt.Sprintf("%s/v1/records/%s?requester=%s",
 		c.Base, url.PathEscape(recordID), url.QueryEscape(requester))
@@ -540,9 +559,17 @@ func (c *Client) Disclose(recordID, requester string) (*hybrid.ReCiphertext, err
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.do(req, http.StatusOK)
+	resp, err := c.doStream(req, http.StatusOK)
 	if err != nil {
 		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := readBody(resp.Body, resp.ContentLength, maxFrameBytes)
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxFrameBytes {
+		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrFrameTooLarge, maxFrameBytes)
 	}
 	return hybrid.UnmarshalReCiphertext(body)
 }
@@ -559,12 +586,12 @@ func (c *Client) DiscloseCategoryStream(patient string, category Category, reque
 	if err != nil {
 		return err
 	}
-	body, err := c.doStream(req, http.StatusOK)
+	resp, err := c.doStream(req, http.StatusOK)
 	if err != nil {
 		return err
 	}
-	defer body.Close()
-	return DecodeBulkStream(body, yield)
+	defer resp.Body.Close()
+	return DecodeBulkStream(resp.Body, yield)
 }
 
 // Bulk-stream decoding errors. A server that fails mid-stream (a
@@ -582,6 +609,10 @@ var (
 	ErrFrameTooLarge = errors.New("phr: bulk frame exceeds protocol limit")
 )
 
+// maxFrameBytes bounds one disclosure container a client reads: the
+// largest sealed record upload plus room for the re-encrypted KEM.
+const maxFrameBytes = MaxRecordBytes + 4096
+
 // DecodeBulkStream incrementally decodes a length-prefixed bulk-disclosure
 // response — the wire format the streaming disclosure endpoints produce —
 // calling yield once per decoded container. It is the single decoder of
@@ -591,6 +622,10 @@ var (
 // wrapping ErrTruncatedStream after the frames decoded so far; an absurd
 // length prefix returns an error wrapping ErrFrameTooLarge before any
 // allocation of that size.
+//
+// Each frame is read into its own buffer and decoded with every check
+// (hybrid.UnmarshalReCiphertext); a yielded container's nonce and payload
+// are slices of its frame's buffer.
 func DecodeBulkStream(r io.Reader, yield func(*hybrid.ReCiphertext) error) error {
 	br := bufio.NewReader(r)
 	var prefix [hybrid.FrameHeader]byte
@@ -607,7 +642,7 @@ func DecodeBulkStream(r io.Reader, yield func(*hybrid.ReCiphertext) error) error
 			return fmt.Errorf("%w in frame header after %d complete frames: %w", ErrTruncatedStream, frames, err)
 		}
 		n := binary.BigEndian.Uint32(prefix[:])
-		if n > MaxRecordBytes+4096 {
+		if n > maxFrameBytes {
 			return fmt.Errorf("%w: frame %d declares %d bytes", ErrFrameTooLarge, frames, n)
 		}
 		item := make([]byte, n)
@@ -638,12 +673,12 @@ func (c *Client) BreakGlass(patient, requester, reason string, yield func(*hybri
 	if err != nil {
 		return err
 	}
-	body, err := c.doStream(req, http.StatusOK)
+	resp, err := c.doStream(req, http.StatusOK)
 	if err != nil {
 		return err
 	}
-	defer body.Close()
-	return DecodeBulkStream(body, yield)
+	defer resp.Body.Close()
+	return DecodeBulkStream(resp.Body, yield)
 }
 
 // Metrics fetches the server's per-endpoint instrumentation snapshot.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -570,5 +571,98 @@ func TestHTTPMidStreamAbortIsTypedTruncation(t *testing.T) {
 	}
 	if frames != 1 {
 		t.Fatalf("delivered %d complete frames before truncation, want 1", frames)
+	}
+}
+
+// TestDecodeBulkStreamSwitchingTails is a differential check of the bulk
+// decoder: a stream whose frames switch grant (a new identity block and
+// EncX), switch EncX under the same identities, and switch the identity
+// block under the same EncX, decodes exactly as each frame does alone.
+func TestDecodeBulkStreamSwitchingTails(t *testing.T) {
+	s := newScenario(t)
+	ct, err := hybrid.Encrypt(s.alice.Delegator(), []byte("bt O−"), CategoryEmergency, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reEncrypt := func(requester string) *hybrid.ReCiphertext {
+		rk, err := s.alice.Delegator().Delegate(s.kgc2.Params(), requester, CategoryEmergency, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rct, err := hybrid.ReEncrypt(ct, rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rct
+	}
+	bob, eve, bobAgain := reEncrypt(s.bobKey.ID), reEncrypt(s.eveKey.ID), reEncrypt(s.bobKey.ID)
+	relabeled := *bob.KEM // bob's EncX under another identity block
+	relabeled.DelegateeID = "carol@clinic.example"
+	carol := &hybrid.ReCiphertext{KEM: &relabeled, Nonce: bob.Nonce, Payload: bob.Payload}
+
+	run := []*hybrid.ReCiphertext{bob, bob, eve, bob, bobAgain, bobAgain, carol, carol, bob}
+	var stream []byte
+	var want []*hybrid.ReCiphertext
+	for _, rct := range run {
+		container := rct.Marshal()
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(container)))
+		stream = append(stream, container...)
+		alone, err := hybrid.UnmarshalReCiphertext(container)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, alone)
+	}
+	var got []*hybrid.ReCiphertext
+	if err := DecodeBulkStream(bytes.NewReader(stream), func(rct *hybrid.ReCiphertext) error {
+		got = append(got, rct)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d frames, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) || !bytes.Equal(got[i].Marshal(), run[i].Marshal()) {
+			t.Fatalf("frame %d decodes to %+v in the stream, %+v alone", i, got[i].KEM, want[i].KEM)
+		}
+	}
+}
+
+// TestClientDiscloseOversizedIsFrameTooLarge checks that a disclose
+// response longer than one frame may be, with or without a declared
+// length, fails as ErrFrameTooLarge rather than as a decoding error, and
+// that a response of exactly the limit reaches the decoder.
+func TestClientDiscloseOversizedIsFrameTooLarge(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		size     int
+		chunked  bool
+		tooLarge bool
+	}{
+		{"declared over", maxFrameBytes + 1, false, true},
+		{"chunked over", maxFrameBytes + 1, true, true},
+		{"declared at limit", maxFrameBytes, false, false},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body := make([]byte, tc.size)
+			if tc.chunked {
+				w.Write(body[:1])
+				w.(http.Flusher).Flush()
+				w.Write(body[1:])
+				return
+			}
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			w.Write(body)
+		}))
+		_, err := NewClient(ts.URL).Disclose("alice/r1", "bob")
+		ts.Close()
+		if err == nil {
+			t.Fatalf("%s: a %d-byte zero response decoded", tc.name, tc.size)
+		}
+		if errors.Is(err, ErrFrameTooLarge) != tc.tooLarge {
+			t.Fatalf("%s: err = %v, ErrFrameTooLarge want %v", tc.name, err, tc.tooLarge)
+		}
 	}
 }

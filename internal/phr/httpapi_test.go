@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -593,5 +594,68 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("want 404, got %d", resp.StatusCode)
+	}
+}
+
+// failingGetBackend is a store that fails to read every record it holds;
+// its index still answers, as a disk store's does when a frame cannot be
+// read.
+type failingGetBackend struct{ Backend }
+
+func (b failingGetBackend) Get(id string) (*EncryptedRecord, error) {
+	if _, _, ok := b.Route(id); !ok {
+		return b.Backend.Get(id)
+	}
+	return nil, fmt.Errorf("%w: injected read failure of %s", ErrStorage, id)
+}
+
+// TestHTTPFailedReadIsAudited checks that a record the store cannot read
+// reaches its category's proxy: a granted requester gets a 500 and the
+// proxy audits one OutcomeError entry; a requester without a grant gets
+// the denial; an unknown record is still a 404 that no proxy audits.
+func TestHTTPFailedReadIsAudited(t *testing.T) {
+	s := newScenario(t)
+	svc := NewService(StandardCategories(), failingGetBackend{NewStore()})
+	rec, err := s.alice.AddRecord(svc.Store, CategoryEmergency, []byte("bt O−"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grantAt(svc, s.alice, s.kgc2.Params(), s.bobKey.ID, CategoryEmergency); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+	proxy, err := svc.ProxyFor(CategoryEmergency)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, id, requester string
+		status              int
+		audited             []Outcome
+	}{
+		{"granted", rec.ID, s.bobKey.ID, http.StatusInternalServerError, []Outcome{OutcomeError}},
+		{"denied", rec.ID, s.eveKey.ID, http.StatusForbidden, []Outcome{OutcomeNoGrant}},
+		{"unknown", "alice/no-such-record", s.bobKey.ID, http.StatusNotFound, nil},
+	} {
+		before := proxy.Audit().Len()
+		resp, err := http.Get(ts.URL + "/v1/records/" + tc.id + "?requester=" + tc.requester)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		entries := proxy.Audit().Tail(0)[before:]
+		if len(entries) != len(tc.audited) {
+			t.Fatalf("%s: %d audit entries, want %d: %+v", tc.name, len(entries), len(tc.audited), entries)
+		}
+		for i, e := range entries {
+			if e.Outcome != tc.audited[i] || e.RecordID != tc.id || e.Requester != tc.requester {
+				t.Fatalf("%s: audit entry %+v, want %s on %s for %s", tc.name, e, tc.audited[i], tc.id, tc.requester)
+			}
+		}
 	}
 }

@@ -111,18 +111,6 @@ type disclosure struct {
 	note      string  // carried by every entry (the break-glass reason)
 }
 
-// discloseRecord re-encrypts one record toward the requester into its
-// wire frame (see hybrid.ReEncryptStream), enforcing the grant table and
-// writing an audit entry either way. This is the §5 on-demand disclosure
-// path; the caller has already fetched the record (Service.discloseRecord
-// reads it once to route it to this proxy).
-func (p *Proxy) discloseRecord(rec *EncryptedRecord, requester string, yield func(frame []byte, wait bool) error) error {
-	return p.disclose(disclosure{
-		patientID: rec.PatientID, category: rec.Category, requester: requester,
-		recordID: rec.ID, outcome: OutcomeGranted,
-	}, func() ([]*EncryptedRecord, error) { return []*EncryptedRecord{rec}, nil }, yield)
-}
-
 // DiscloseCategoryStream is the bulk-disclosure path (§5: "the PHR data
 // can be disclosed on demand by the proxy"): it re-encrypts every record
 // of (patient, category) toward the requester and calls yield once per

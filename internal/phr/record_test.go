@@ -22,7 +22,7 @@ func TestMarshalRecordRoundTrip(t *testing.T) {
 		}
 		bodies[rec.ID] = body
 
-		back, err := UnmarshalRecord(MarshalRecord(nil, rec))
+		back, err := UnmarshalTrustedRecord(MarshalRecord(nil, rec))
 		if err != nil {
 			t.Fatalf("record %s: %v", rec.ID, err)
 		}
@@ -68,10 +68,12 @@ func TestMarshalRecordDeterministic(t *testing.T) {
 }
 
 // TestUnmarshalRecordRejectsMalformed feeds garbage, every truncation and
-// a trailing byte to UnmarshalRecord.
+// a trailing byte to UnmarshalTrustedRecord and to RecordRoute, which
+// replay runs on every entry.
 func TestUnmarshalRecordRejectsMalformed(t *testing.T) {
-	if _, err := UnmarshalRecord([]byte("not a record at all")); err == nil {
-		t.Fatal("accepted garbage")
+	decoders := map[string]func([]byte) error{
+		"UnmarshalTrustedRecord": func(b []byte) error { _, err := UnmarshalTrustedRecord(b); return err },
+		"RecordRoute":            func(b []byte) error { _, _, _, err := RecordRoute(b); return err },
 	}
 	s := newScenario(t)
 	rec, err := s.alice.AddRecord(s.svc.Store, CategoryEmergency, []byte("x"), nil)
@@ -79,19 +81,29 @@ func TestUnmarshalRecordRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := MarshalRecord(nil, rec)
-	for n := 0; n < len(wire); n++ {
-		if _, err := UnmarshalRecord(wire[:n]); err == nil {
-			t.Fatalf("accepted a record truncated to %d of %d bytes", n, len(wire))
+	for name, decode := range decoders {
+		if err := decode([]byte("not a record at all")); err == nil {
+			t.Fatalf("%s accepted garbage", name)
+		}
+		for n := 0; n < len(wire); n++ {
+			if err := decode(wire[:n]); err == nil {
+				t.Fatalf("%s accepted a record truncated to %d of %d bytes", name, n, len(wire))
+			}
+		}
+		if err := decode(append(wire, 0)); err == nil {
+			t.Fatalf("%s accepted a trailing byte", name)
 		}
 	}
-	if _, err := UnmarshalRecord(append(wire, 0)); err == nil {
-		t.Fatal("accepted a trailing byte")
+	id, patient, c, err := RecordRoute(wire)
+	if err != nil || id != rec.ID || patient != rec.PatientID || c != rec.Category {
+		t.Fatalf("RecordRoute = %q %q %q %v, want %q %q %q", id, patient, c, err, rec.ID, rec.PatientID, rec.Category)
 	}
 }
 
 // FuzzUnmarshalRecord runs the disk backend's payload decoder over
 // arbitrary bytes: it must not panic, and whatever it accepts must
-// re-encode to the same bytes.
+// re-encode to the same bytes, also when the sealed ciphertext is encoded
+// from its decoded fields rather than written back as the bytes it kept.
 func FuzzUnmarshalRecord(f *testing.F) {
 	kgc, err := ibe.Setup("recordfuzz-kgc", nil)
 	if err != nil {
@@ -107,12 +119,16 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7C})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := UnmarshalRecord(data)
+		rec, err := UnmarshalTrustedRecord(data)
 		if err != nil {
 			return
 		}
 		if out := MarshalRecord(nil, rec); !bytes.Equal(out, data) {
 			t.Fatalf("accepted %x but re-encodes it as %x", data, out)
+		}
+		rec.Sealed = rec.Sealed.WithoutEncoding()
+		if out := MarshalRecord(nil, rec); !bytes.Equal(out, data) {
+			t.Fatalf("accepted %x but its fields encode as %x", data, out)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package phr
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -67,7 +69,10 @@ func (s *Service) Proxies() map[Category]*Proxy {
 // ciphertext, decoded from the frame the HTTP API serves. The requester
 // decrypts locally with their own key (the service never holds requester
 // keys). An unknown record is ErrNotFound before any proxy sees the
-// request, so it leaves no audit entry.
+// request, so it leaves no audit entry. A record the store holds but fails
+// to read is routed by the store's index to its proxy, which audits the
+// failure (OutcomeError, or OutcomeNoGrant for a requester without a
+// grant).
 func (s *Service) Request(recordID, requesterID string) (*hybrid.ReCiphertext, error) {
 	var out *hybrid.ReCiphertext
 	err := s.discloseRecord(recordID, requesterID, func(frame []byte, _ bool) (err error) {
@@ -84,17 +89,37 @@ func (s *Service) Request(recordID, requesterID string) (*hybrid.ReCiphertext, e
 // hybrid.ReEncryptStream) instead of decoding it.
 func (s *Service) discloseRecord(recordID, requesterID string, yield func(frame []byte, wait bool) error) error {
 	rec, err := s.Store.Get(recordID)
-	if err != nil {
+	var patientID string
+	var c Category
+	switch {
+	case err == nil:
+		patientID, c = rec.PatientID, rec.Category
+	case errors.Is(err, ErrNotFound):
 		return err
+	default:
+		var ok bool
+		if patientID, c, ok = s.Store.Route(recordID); !ok {
+			return err
+		}
 	}
-	proxy, err := s.ProxyFor(rec.Category)
-	if err != nil {
-		return err
+	proxy, perr := s.ProxyFor(c)
+	if perr != nil {
+		return cmp.Or(err, perr) // no proxy can audit a failed read
 	}
-	return proxy.discloseRecord(rec, requesterID, yield)
+	// The proxy checks the grant before it takes the record, or audits the
+	// failed read as OutcomeError.
+	d := disclosure{patientID: patientID, category: c, requester: requesterID, recordID: recordID, outcome: OutcomeGranted}
+	return proxy.disclose(d, func() ([]*EncryptedRecord, error) {
+		if err != nil {
+			return nil, err
+		}
+		return []*EncryptedRecord{rec}, nil
+	}, yield)
 }
 
-// decodeFrame decodes the container of one disclosure frame.
+// decodeFrame decodes the container of one disclosure frame. The engine
+// reuses the frame's buffer once yield returns, and a decoded ciphertext
+// aliases its input, so it decodes a copy.
 func decodeFrame(frame []byte) (*hybrid.ReCiphertext, error) {
-	return hybrid.UnmarshalReCiphertext(frame[hybrid.FrameHeader:])
+	return hybrid.UnmarshalReCiphertext(bytes.Clone(frame[hybrid.FrameHeader:]))
 }

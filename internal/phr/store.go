@@ -21,7 +21,9 @@ var (
 // Stored records are never mutated after insertion (Put/Replace store
 // private clones), so the read paths can copy the record pointers under
 // the RLock and clone outside it — the lock is held for O(ids), not
-// O(bytes cloned).
+// O(bytes cloned). A stored clone keeps the decoded ciphertext only, not
+// the bytes it was decoded from (hybrid.Ciphertext.WithoutEncoding): an
+// upload's buffer is not held for the record's lifetime.
 type memBackend struct {
 	mu     sync.RWMutex
 	closed bool                        // phrlint:guardedby mu
@@ -43,6 +45,7 @@ func (s *memBackend) Put(r *EncryptedRecord) error {
 	if r == nil || r.ID == "" {
 		return fmt.Errorf("phr: invalid record")
 	}
+	cp := r.stored()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -51,7 +54,6 @@ func (s *memBackend) Put(r *EncryptedRecord) error {
 	if _, ok := s.byID[r.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, r.ID)
 	}
-	cp := r.Clone()
 	s.byID[cp.ID] = cp
 	s.index.Add(cp.ID, cp.PatientID, cp.Category)
 	return nil
@@ -65,6 +67,7 @@ func (s *memBackend) Replace(r *EncryptedRecord) error {
 	if r == nil || r.ID == "" {
 		return fmt.Errorf("phr: invalid record")
 	}
+	cp := r.stored()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -77,8 +80,15 @@ func (s *memBackend) Replace(r *EncryptedRecord) error {
 	if cur.PatientID != r.PatientID || cur.Category != r.Category {
 		return fmt.Errorf("phr: replace of %s cannot change routing metadata", r.ID)
 	}
-	s.byID[r.ID] = r.Clone()
+	s.byID[r.ID] = cp
 	return nil
+}
+
+// stored is the private clone of r that the backend keeps.
+func (r *EncryptedRecord) stored() *EncryptedRecord {
+	cp := r.Clone()
+	cp.Sealed = cp.Sealed.WithoutEncoding()
+	return cp
 }
 
 // Get fetches a record by ID.
@@ -169,6 +179,17 @@ func (s *memBackend) ListByPatientCategory(patientID string, c Category) ([]*Enc
 	recs := s.collect(s.index.IDsIn(patientID, c))
 	s.mu.RUnlock()
 	return cloneAll(recs), nil
+}
+
+// Route returns a record's patient and category; ok is false when absent.
+func (s *memBackend) Route(id string) (patientID string, c Category, ok bool) {
+	s.mu.RLock()
+	r, ok := s.byID[id]
+	s.mu.RUnlock()
+	if !ok {
+		return "", "", false
+	}
+	return r.PatientID, r.Category, true
 }
 
 // Count returns the total number of records.

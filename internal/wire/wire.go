@@ -20,6 +20,17 @@ func AppendField[T ~string | ~[]byte](dst []byte, field T) []byte {
 	return append(dst, field...)
 }
 
+// BeginField appends a placeholder length prefix for a field whose length
+// is known only once its bytes are appended. It returns the extended slice
+// and the prefix's offset, for EndField.
+func BeginField(dst []byte) ([]byte, int) { return append(dst, 0, 0, 0, 0), len(dst) }
+
+// EndField sets the length prefix BeginField left at dst[at:] to the
+// number of bytes appended after it.
+func EndField(dst []byte, at int) {
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+}
+
 // AppendUint64 appends v as 8 big-endian bytes.
 func AppendUint64(dst []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, v)

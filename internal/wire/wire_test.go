@@ -108,3 +108,23 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// TestBeginEndField writes a field whose length is set after its bytes:
+// the encoding equals AppendField's and reads back as a field.
+func TestBeginEndField(t *testing.T) {
+	b, at := BeginField([]byte{7})
+	b = append(b, "body"...)
+	EndField(b, at)
+	b = append(b, 1, 2)
+	if want := append(AppendField([]byte{7}, "body"), 1, 2); !bytes.Equal(b, want) {
+		t.Fatalf("encoding %x, want %x", b, want)
+	}
+	r := NewReader(b)
+	r.Next(1)
+	if body, rest := r.Field(), r.Next(2); string(body) != "body" || !bytes.Equal(rest, []byte{1, 2}) {
+		t.Fatalf("decoded %q then %x", body, rest)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
