@@ -7,18 +7,20 @@
 //
 // Storage is pluggable: -store=mem (default) keeps records in memory,
 // -store=disk persists them to an append-only segment log under -dir that
-// survives restarts and crashes (see docs/storage.md). With -fsync=always
-// every acknowledged write is on stable storage before the HTTP response;
-// -fsync=interval trades a bounded window of recent writes for throughput.
-// Grants are proxy-local state in either mode and must be re-installed
-// after a restart.
+// survives restarts and crashes (see docs/storage.md). A write is in the
+// segment file before its HTTP response in either fsync mode, so a killed
+// server process loses nothing it acknowledged. With -fsync=always it is
+// also on stable storage, so it survives a kernel crash or power loss;
+// -fsync=interval trades those for throughput, leaving up to one sync
+// period of acknowledged writes exposed. Grants are proxy-local state in
+// either mode and must be re-installed after a restart.
 //
 // The server instruments every handler: GET /v1/metrics serves
 // per-endpoint latency/error counters, an in-flight gauge and the store's
-// record count, which the cmd/phrload crash drill reads. It optionally
-// binds net/http/pprof on a separate address for profiling under load.
-// Both listeners bound how long a client may take to send a request and how
-// long an idle connection stays open (newHTTPServer).
+// record count. It optionally binds net/http/pprof on a separate address
+// for profiling under load. Both listeners bound how long a client may take
+// to send a request and how long an idle connection stays open
+// (newHTTPServer).
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers profiling handlers on DefaultServeMux
 	"os"
@@ -109,8 +112,14 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("listening on http://%s (metrics on /v1/metrics)\n", *addr)
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	// Listen before serving, so the printed address is the bound one:
+	// -addr 127.0.0.1:0 picks a free port and reports it here.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("listening on http://%s (metrics on /v1/metrics)\n", ln.Addr())
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-done

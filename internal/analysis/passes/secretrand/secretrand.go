@@ -4,9 +4,8 @@
 // packages (internal/bn254, internal/ibe, internal/core, internal/hybrid)
 // and allowed in the internal/phr tree only as the sanctioned
 // InsecureDeterministic workload plumbing: the deterministic rand.Source
-// that phr.GenerateWorkload threads through corpus generation so load
-// tests and crash-recovery spot-checks can regenerate byte-identical
-// corpora. Everything else is a diagnostic — a math/rand value that leaks
+// that phr.GenerateWorkload threads through corpus generation so the
+// benchmark and the tests can regenerate byte-identical corpora. Everything else is a diagnostic — a math/rand value that leaks
 // into key generation is the paper's security reduction voided in one
 // line.
 package secretrand

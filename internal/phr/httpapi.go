@@ -149,8 +149,7 @@ type ServerMetrics struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	InFlight      int64   `json:"in_flight"`
 	InFlightHigh  int64   `json:"in_flight_high"`
-	// StoreRecords is the backend's current record count — the durability
-	// gate the crash-recovery CI job compares across a SIGKILL/restart.
+	// StoreRecords is the backend's current record count.
 	StoreRecords int                      `json:"store_records"`
 	Endpoints    []loadstat.EndpointStats `json:"endpoints"`
 	// Audit sizes each proxy's audit log, ordered by category.
@@ -679,23 +678,6 @@ func (c *Client) BreakGlass(patient, requester, reason string, yield func(*hybri
 	}
 	defer resp.Body.Close()
 	return DecodeBulkStream(resp.Body, yield)
-}
-
-// Metrics fetches the server's per-endpoint instrumentation snapshot.
-func (c *Client) Metrics() (*ServerMetrics, error) {
-	req, err := http.NewRequest("GET", c.Base+"/v1/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.do(req, http.StatusOK)
-	if err != nil {
-		return nil, err
-	}
-	var m ServerMetrics
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // DiscloseCategory is DiscloseCategoryStream collected into a slice.

@@ -329,10 +329,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := h.client.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := serverMetrics(t, h.client)
 	byEndpoint := map[string]int{}
 	errs := map[string]int{}
 	for _, e := range m.Endpoints {

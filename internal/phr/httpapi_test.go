@@ -31,6 +31,24 @@ func newHTTPScenario(t *testing.T) *httpScenario {
 	return &httpScenario{scenario: s, ts: ts, client: NewClient(ts.URL)}
 }
 
+// serverMetrics fetches and decodes the server's GET /v1/metrics body.
+func serverMetrics(t *testing.T, c *Client) *ServerMetrics {
+	t.Helper()
+	req, err := http.NewRequest("GET", c.Base+"/v1/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := c.do(req, http.StatusOK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m ServerMetrics
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	return &m
+}
+
 // sealRecord builds an EncryptedRecord locally (patient side) without
 // touching the store, for upload via the API.
 func (h *httpScenario) sealRecord(t *testing.T, id string, c Category, body []byte) *EncryptedRecord {
@@ -427,10 +445,7 @@ func TestHTTPMetricsAuditSize(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.client.Disclose("alice/r1", "eve@outside.example") // denied, audited
 	}
-	m, err := h.client.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := serverMetrics(t, h.client)
 	if len(m.Audit) != len(h.svc.Proxies()) {
 		t.Fatalf("metrics size %d audit logs, want %d", len(m.Audit), len(h.svc.Proxies()))
 	}
@@ -478,10 +493,7 @@ func TestHTTPMetricsCacheCounts(t *testing.T) {
 	}
 	counts := func() (hits, misses uint64) {
 		t.Helper()
-		m, err := h.client.Metrics()
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := serverMetrics(t, h.client)
 		if len(m.Cache) != len(h.svc.Proxies()) {
 			t.Fatalf("metrics count %d caches, want %d", len(m.Cache), len(h.svc.Proxies()))
 		}

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sync"
 
 	"typepre/internal/hybrid"
 )
@@ -25,16 +24,12 @@ type Service struct {
 	// persistent deployment (cmd/phrserver -store=disk).
 	Store Backend
 
-	mu      sync.RWMutex
-	proxies map[Category]*Proxy // phrlint:guardedby mu
+	proxies map[Category]*Proxy // built by NewService, never written after
 }
 
 // NewService creates a service with one dedicated proxy per category over
 // a storage backend: NewStore() for the in-memory one.
 func NewService(categories []Category, backend Backend) *Service {
-	// The proxy map is fully built before the Service is constructed, so
-	// no partially-initialized Service is ever reachable and every access
-	// through s.proxies happens under s.mu.
 	proxies := map[Category]*Proxy{}
 	for _, c := range categories {
 		proxies[c] = NewProxy("proxy-" + string(c))
@@ -44,8 +39,6 @@ func NewService(categories []Category, backend Backend) *Service {
 
 // ProxyFor returns the proxy serving a category.
 func (s *Service) ProxyFor(c Category) (*Proxy, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	p, ok := s.proxies[c]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoProxy, c)
@@ -55,8 +48,6 @@ func (s *Service) ProxyFor(c Category) (*Proxy, error) {
 
 // Proxies returns the deployed proxies keyed by category (copy).
 func (s *Service) Proxies() map[Category]*Proxy {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make(map[Category]*Proxy, len(s.proxies))
 	for c, p := range s.proxies {
 		out[c] = p
