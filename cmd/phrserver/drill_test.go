@@ -38,16 +38,18 @@ func TestMain(m *testing.M) {
 // server is a phrserver child process.
 type server struct {
 	url    string
+	banner []string // stdout lines before the "listening on" line
 	cmd    *exec.Cmd
+	stdout *os.File
 	stderr bytes.Buffer
 	exited chan struct{} // closed once Wait has returned err
 	err    error
 }
 
-// startServer runs phrserver with args on a free loopback port and returns
-// once it prints the address it bound. The process is killed when the test
-// ends, if it is still running.
-func startServer(t *testing.T, args ...string) *server {
+// spawn runs phrserver with args on a free loopback port, its stdout on
+// s.stdout. The process is killed when the test ends, if it is still
+// running.
+func spawn(t *testing.T, args ...string) *server {
 	t.Helper()
 	s := &server{exited: make(chan struct{})}
 	s.cmd = exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
@@ -61,8 +63,10 @@ func startServer(t *testing.T, args ...string) *server {
 	err = s.cmd.Start()
 	w.Close()
 	if err != nil {
+		stdout.Close()
 		t.Fatal(err)
 	}
+	s.stdout = stdout
 	go func() {
 		s.err = s.cmd.Wait()
 		close(s.exited)
@@ -71,22 +75,32 @@ func startServer(t *testing.T, args ...string) *server {
 		s.cmd.Process.Kill()
 		<-s.exited
 	})
+	return s
+}
 
-	lines := bufio.NewScanner(stdout)
+// startServer spawns phrserver with args and returns once it prints the
+// address it bound.
+func startServer(t *testing.T, args ...string) *server {
+	t.Helper()
+	s := spawn(t, args...)
+	lines := bufio.NewScanner(s.stdout)
 	for lines.Scan() {
-		if rest, ok := strings.CutPrefix(lines.Text(), "listening on "); ok {
-			s.url, _, _ = strings.Cut(rest, " ")
-			// Drain the rest, so a late write can neither block nor
-			// break the child.
-			go func() {
-				for lines.Scan() {
-				}
-				stdout.Close()
-			}()
-			return s
+		rest, ok := strings.CutPrefix(lines.Text(), "listening on ")
+		if !ok {
+			s.banner = append(s.banner, lines.Text())
+			continue
 		}
+		s.url, _, _ = strings.Cut(rest, " ")
+		// Drain the rest, so a late write can neither block nor break
+		// the child.
+		go func() {
+			for lines.Scan() {
+			}
+			s.stdout.Close()
+		}()
+		return s
 	}
-	stdout.Close()
+	s.stdout.Close()
 	<-s.exited
 	t.Fatalf("phrserver %v exited before listening (%v):\n%s", args, s.err, &s.stderr)
 	return nil

@@ -11,16 +11,18 @@
 // segment file before its HTTP response in either fsync mode, so a killed
 // server process loses nothing it acknowledged. With -fsync=always it is
 // also on stable storage, so it survives a kernel crash or power loss;
-// -fsync=interval trades those for throughput, leaving up to one sync
-// period of acknowledged writes exposed. Grants are proxy-local state in
-// either mode and must be re-installed after a restart.
+// -fsync=interval trades those for throughput, leaving up to one 100 ms
+// sync period of acknowledged writes exposed. Grants are proxy-local state
+// in either mode and must be re-installed after a restart.
 //
 // The server instruments every handler: GET /v1/metrics serves
 // per-endpoint latency/error counters, an in-flight gauge and the store's
-// record count. It optionally binds net/http/pprof on a separate address
-// for profiling under load. Both listeners bound how long a client may take
-// to send a request and how long an idle connection stays open
-// (newHTTPServer).
+// record count. With -pprof ADDR it also binds net/http/pprof on a
+// separate address for profiling under load. Each listener is bound
+// before anything is served and prints the address it bound (port 0 picks
+// a free one); an address that cannot be bound stops the server at
+// startup. Both bound how long a client may take to send a request and
+// how long an idle connection stays open (newHTTPServer).
 package main
 
 import (
@@ -49,8 +51,7 @@ var (
 
 	storeKind = flag.String("store", "mem", "storage backend: mem (volatile) or disk (crash-safe segment log)")
 	storeDir  = flag.String("dir", "", "data directory for -store=disk")
-	fsyncMode = flag.String("fsync", "always", "disk durability: always (sync before every ack) or interval (background sync)")
-	fsyncInt  = flag.Duration("fsync-interval", 100*time.Millisecond, "sync period for -fsync=interval")
+	fsyncMode = flag.String("fsync", "always", "disk durability: always (sync before every ack) or interval (background sync every 100ms)")
 )
 
 func main() {
@@ -76,12 +77,9 @@ func main() {
 	}
 
 	if *pprofAddr != "" {
-		go func() {
-			// pprof handlers live on DefaultServeMux; the API server below
-			// uses its own mux, so profiling stays off the service address.
-			log.Printf("pprof: %v", newHTTPServer(*pprofAddr, http.DefaultServeMux).ListenAndServe())
-		}()
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
+		// pprof handlers live on DefaultServeMux; the API server below
+		// uses its own mux, so profiling stays off the service address.
+		listenAndServe(newHTTPServer(*pprofAddr, http.DefaultServeMux), "pprof on http://%s/debug/pprof/\n")
 	}
 
 	svc := phr.NewService(cats, backend)
@@ -112,17 +110,25 @@ func main() {
 		}
 	}()
 
-	// Listen before serving, so the printed address is the bound one:
-	// -addr 127.0.0.1:0 picks a free port and reports it here.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("listening on http://%s (metrics on /v1/metrics)\n", ln.Addr())
-	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
+	listenAndServe(srv, "listening on http://%s (metrics on /v1/metrics)\n")
 	<-done
+}
+
+// listenAndServe binds srv.Addr, prints the bound address through format,
+// and serves srv on it in the background until Shutdown. Binding first
+// makes an address that cannot be bound fatal before anything is served,
+// and lets port 0 report the port it picked.
+func listenAndServe(srv *http.Server, format string) {
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		log.Fatalf("phrserver: %v", err)
+	}
+	fmt.Printf(format, ln.Addr())
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			log.Fatal(err)
+		}
+	}()
 }
 
 // Limits every listener of the server applies, so a slow or hostile
@@ -167,7 +173,7 @@ func openBackend() (phr.Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := diskstore.Open(*storeDir, diskstore.Options{Fsync: mode, FsyncInterval: *fsyncInt})
+		s, err := diskstore.Open(*storeDir, diskstore.Options{Fsync: mode})
 		if err != nil {
 			return nil, err
 		}

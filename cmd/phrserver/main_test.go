@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 )
@@ -61,5 +64,50 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("connection still open after %v", time.Since(start))
+	}
+}
+
+// TestPprofReportsBoundAddress starts phrserver with -pprof on port 0: it
+// must print the port it bound, and serve the pprof index there.
+func TestPprofReportsBoundAddress(t *testing.T) {
+	s := startServer(t, "-pprof", "127.0.0.1:0")
+	var index string
+	for _, line := range s.banner {
+		if rest, ok := strings.CutPrefix(line, "pprof on "); ok {
+			index = rest
+		}
+	}
+	u, err := url.Parse(index)
+	if err != nil || u.Port() == "" || u.Port() == "0" {
+		t.Fatalf("pprof line %q (%v) names no bound port; output before listening: %q", index, err, s.banner)
+	}
+	resp, err := http.Get(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", index, resp.Status)
+	}
+}
+
+// TestPprofAddressInUseIsFatal starts phrserver with a -pprof address the
+// test already holds: it must exit non-zero before it reports serving.
+func TestPprofAddressInUseIsFatal(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	s := spawn(t, "-pprof", held.Addr().String())
+	lines := bufio.NewScanner(s.stdout)
+	for lines.Scan() {
+		if strings.HasPrefix(lines.Text(), "listening on ") {
+			t.Fatalf("phrserver serves with its -pprof address %s taken", held.Addr())
+		}
+	}
+	s.stdout.Close()
+	if err := s.wait(t); err == nil {
+		t.Fatalf("phrserver exited 0 with its -pprof address %s taken", held.Addr())
 	}
 }

@@ -8,11 +8,13 @@ import (
 
 // stdDispatched are the methods the standard library calls on a value it
 // holds as an interface after asserting a narrower one: fmt's Stringer,
-// error and Formatter, and encoding's marshalers.
+// error and Formatter, encoding's marshalers, and the Unwrap that errors.Is
+// and http.ResponseController look for.
 var stdDispatched = map[string]bool{
 	"Error": true, "String": true, "GoString": true, "Format": true,
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true,
 	"UnmarshalText": true, "MarshalBinary": true, "UnmarshalBinary": true,
+	"Unwrap": true,
 }
 
 // scanner collects into fn what the bodies it scans reach.

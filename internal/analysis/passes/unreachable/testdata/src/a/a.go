@@ -57,13 +57,22 @@ func sum[T valuer](xs ...T) int {
 	return t
 }
 
+// wrapped's Unwrap is found by errors.Is through a type assertion, so
+// converting wrapped to error reaches it.
+type wrapped struct{ err error }
+
+func (w wrapped) Error() string { return "wrapped" }
+
+func (w wrapped) Unwrap() error { return w.err }
+
 func main() {
 	var s shape = square{2}
+	var err error = wrapped{}
 	c := &counter{}
 	inc := c.Inc
 	inc()
 	fmt.Println(s.Area(), Map([]int{1}, double), hooks["one"](), sum(meters(3)), kernel(), used())
-	fmt.Println(rooted.API(), stalepkg.Used())
+	fmt.Println(rooted.API(), stalepkg.Used(), err)
 }
 
 // onlyTests is called by a_test.go alone, which no binary links.

@@ -1,21 +1,16 @@
 // Package loadstat is the PHR server's request instrumentation, served on
-// GET /v1/metrics: lock-free sharded counters and fixed-bucket latency
-// histograms that many goroutines record into while others take
-// consistent-enough snapshots, plus an in-flight gauge.
+// GET /v1/metrics: one recorder of lock-free counters and a fixed-bucket
+// latency histogram per endpoint, which request goroutines record into
+// while others take snapshots, plus an in-flight gauge.
 //
 // The package is stdlib-only. Recording never blocks and never allocates:
-// a Record call is two or three atomic adds into a randomly chosen shard
-// (math/rand/v2's per-goroutine source, no lock) plus an atomic max update.
-// Snapshots sum the shards; a snapshot taken while recorders are running is
-// approximate in the usual monotonic sense — it may split a concurrent
-// update — but every completed Record before the snapshot is included.
+// a Record call is three or four atomic adds plus an atomic max update. A
+// snapshot taken while recorders are running may split a concurrent
+// update, but every Record completed before the snapshot is included.
 package loadstat
 
 import (
 	"math"
-	"math/rand/v2"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -24,32 +19,21 @@ import (
 // bucket 0 is "under 2µs" and the last bucket tops out above two minutes —
 // wide enough for any sane HTTP request, coarse enough (factor-of-two
 // resolution) that quantile interpolation inside a bucket stays honest.
-const (
-	numBuckets = 28 // 2^27 µs ≈ 134 s
-	numShards  = 8
-)
+const numBuckets = 28 // 2^27 µs ≈ 134 s
 
-// shard is one independently updated slice of a Recorder. The padding
-// keeps shards on separate cache lines so concurrent recorders do not
-// false-share.
-type shard struct {
+// Recorder accumulates latency observations for one endpoint (or any other
+// labeled operation). The zero value is not usable; get one from
+// NewRecorder.
+type Recorder struct {
+	name     string
 	ops      atomic.Uint64
 	errs     atomic.Uint64
 	sumNanos atomic.Int64
-	buckets  [numBuckets]atomic.Uint64
-	_        [64]byte
-}
-
-// Recorder accumulates latency observations for one endpoint (or any other
-// labeled operation). The zero value is not usable; get one from a
-// Collector or NewRecorder.
-type Recorder struct {
-	name     string
 	maxNanos atomic.Int64
-	shards   [numShards]shard
+	buckets  [numBuckets]atomic.Uint64
 }
 
-// NewRecorder returns a standalone recorder with the given label.
+// NewRecorder returns a recorder with the given label.
 func NewRecorder(name string) *Recorder { return &Recorder{name: name} }
 
 // bucketOf maps a latency to its histogram bucket.
@@ -70,13 +54,12 @@ func (r *Recorder) Record(d time.Duration, failed bool) {
 	if d < 0 {
 		d = 0
 	}
-	s := &r.shards[rand.Uint32N(numShards)]
-	s.ops.Add(1)
+	r.ops.Add(1)
 	if failed {
-		s.errs.Add(1)
+		r.errs.Add(1)
 	}
-	s.sumNanos.Add(int64(d))
-	s.buckets[bucketOf(d)].Add(1)
+	r.sumNanos.Add(int64(d))
+	r.buckets[bucketOf(d)].Add(1)
 	for {
 		cur := r.maxNanos.Load()
 		if int64(d) <= cur || r.maxNanos.CompareAndSwap(cur, int64(d)) {
@@ -132,21 +115,19 @@ func bucketBounds(i int) (lo, hi float64) {
 	return lo, lo * 2
 }
 
-// Snapshot sums the shards and derives quantiles. elapsed is the wall time
-// the observations cover (used for RPS; pass 0 to omit RPS). Quantiles are
-// clamped to the observed max so p50 ≤ p95 ≤ p99 ≤ max always holds.
+// Snapshot reads the counters and derives quantiles. elapsed is the wall
+// time the observations cover (used for RPS; pass 0 to omit RPS).
+// Quantiles are clamped to the observed max so p50 ≤ p95 ≤ p99 ≤ max
+// always holds.
 func (r *Recorder) Snapshot(elapsed time.Duration) EndpointStats {
+	// Errors before ops: Record counts an op before its error, so this
+	// order keeps errors ≤ ops under concurrent recording.
+	errs := r.errs.Load()
+	ops := r.ops.Load()
+	sum := r.sumNanos.Load()
 	var buckets [numBuckets]uint64
-	var ops, errs uint64
-	var sum int64
-	for i := range r.shards {
-		s := &r.shards[i]
-		ops += s.ops.Load()
-		errs += s.errs.Load()
-		sum += s.sumNanos.Load()
-		for b := range s.buckets {
-			buckets[b] += s.buckets[b].Load()
-		}
+	for i := range r.buckets {
+		buckets[i] = r.buckets[i].Load()
 	}
 	st := EndpointStats{Endpoint: r.name, Ops: ops, Errors: errs}
 	if ops == 0 {
@@ -164,54 +145,6 @@ func (r *Recorder) Snapshot(elapsed time.Duration) EndpointStats {
 	return st
 }
 
-// Collector is a registry of recorders keyed by endpoint label. Lookup of
-// an existing recorder is a read-locked map hit; registration (rare, first
-// request per endpoint) takes the write lock.
-type Collector struct {
-	mu        sync.RWMutex
-	recorders map[string]*Recorder
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{recorders: map[string]*Recorder{}}
-}
-
-// Endpoint returns the recorder for a label, creating it on first use.
-func (c *Collector) Endpoint(name string) *Recorder {
-	c.mu.RLock()
-	r, ok := c.recorders[name]
-	c.mu.RUnlock()
-	if ok {
-		return r
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok = c.recorders[name]; ok {
-		return r
-	}
-	r = NewRecorder(name)
-	c.recorders[name] = r
-	return r
-}
-
-// Snapshot returns the stats of every registered endpoint, sorted by
-// label for stable output.
-func (c *Collector) Snapshot(elapsed time.Duration) []EndpointStats {
-	c.mu.RLock()
-	recs := make([]*Recorder, 0, len(c.recorders))
-	for _, r := range c.recorders {
-		recs = append(recs, r)
-	}
-	c.mu.RUnlock()
-	out := make([]EndpointStats, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, r.Snapshot(elapsed))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
-}
-
 // Gauge is an atomic up/down counter with a high-water mark — the
 // in-flight-requests instrument.
 type Gauge struct {
@@ -219,14 +152,13 @@ type Gauge struct {
 	high atomic.Int64
 }
 
-// Inc increments the gauge and returns the new value, updating the
-// high-water mark.
-func (g *Gauge) Inc() int64 {
+// Inc increments the gauge, updating the high-water mark.
+func (g *Gauge) Inc() {
 	v := g.cur.Add(1)
 	for {
 		h := g.high.Load()
 		if v <= h || g.high.CompareAndSwap(h, v) {
-			return v
+			return
 		}
 	}
 }

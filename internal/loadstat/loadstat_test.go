@@ -76,9 +76,9 @@ func TestQuantileMonotonicity(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordersAndReaders hammers one collector from parallel
-// recorders while snapshot readers run, then checks counter conservation:
-// the final sums across endpoints equal exactly what the writers recorded.
+// TestConcurrentRecordersAndReaders hammers three recorders from parallel
+// writers while snapshot readers run, then checks counter conservation:
+// the final sums across recorders equal exactly what the writers recorded.
 // Run under -race.
 func TestConcurrentRecordersAndReaders(t *testing.T) {
 	const (
@@ -88,8 +88,7 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 		readerPasses  = 200
 		endpointCount = 3
 	)
-	endpoints := []string{"put", "disclose", "stream"}
-	c := NewCollector()
+	recorders := []*Recorder{NewRecorder("put"), NewRecorder("disclose"), NewRecorder("stream")}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -105,7 +104,8 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 					return
 				default:
 				}
-				for _, st := range c.Snapshot(time.Second) {
+				for _, r := range recorders {
+					st := r.Snapshot(time.Second)
 					if !(st.P50Us <= st.P95Us && st.P95Us <= st.P99Us && st.P99Us <= st.MaxUs) {
 						t.Errorf("mid-run quantiles not monotone: %+v", st)
 						return
@@ -124,8 +124,7 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(uint64(w), 99))
 			for i := 0; i < opsPerWriter; i++ {
-				ep := endpoints[i%endpointCount]
-				c.Endpoint(ep).Record(time.Duration(rng.Int64N(1e6)), i%errEvery == 0)
+				recorders[i%endpointCount].Record(time.Duration(rng.Int64N(1e6)), i%errEvery == 0)
 			}
 		}(w)
 	}
@@ -133,7 +132,8 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 	close(stop)
 
 	var total, totalErrs uint64
-	for _, st := range c.Snapshot(time.Second) {
+	for _, r := range recorders {
+		st := r.Snapshot(time.Second)
 		total += st.Ops
 		totalErrs += st.Errors
 	}

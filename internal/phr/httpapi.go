@@ -3,16 +3,17 @@ package phr
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"typepre/internal/core"
@@ -70,18 +71,18 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// Per-endpoint request instrumentation; served by GET /v1/metrics.
-	metrics  *loadstat.Collector
-	inflight loadstat.Gauge
+	// Per-endpoint request instrumentation, one recorder per route that
+	// handle registers; served by GET /v1/metrics.
+	endpoints []*loadstat.Recorder
+	inflight  loadstat.Gauge
 }
 
 // NewServer wraps a service in the HTTP API.
 func NewServer(svc *Service) *Server {
 	s := &Server{
-		svc:     svc,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		metrics: loadstat.NewCollector(),
+		svc:   svc,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.handle("POST /v1/records", EndpointPut, s.handlePutRecord)
 	s.handle("GET /v1/records/{id...}", EndpointDisclose, s.handleDisclose)
@@ -97,10 +98,9 @@ func NewServer(svc *Service) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// statusWriter captures the response status for instrumentation. It
-// always implements http.Flusher — flushing degrades to a no-op when the
-// underlying writer cannot — so the streaming handlers behave identically
-// wrapped or not.
+// statusWriter captures the response status for instrumentation. Its
+// Unwrap hands http.ResponseController the connection's own writer, so
+// flushes and deadlines reach it through the wrapper.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -120,18 +120,15 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // handle registers a handler wrapped with per-endpoint instrumentation:
 // an in-flight gauge around the call and a latency/error observation per
 // request. The deferred Record also runs when a streaming handler aborts
 // the connection via panic(http.ErrAbortHandler).
 func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
-	rec := s.metrics.Endpoint(endpoint)
+	rec := loadstat.NewRecorder(endpoint)
+	s.endpoints = append(s.endpoints, rec)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		begin := time.Now()
@@ -187,16 +184,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		InFlight:      s.inflight.Value(),
 		InFlightHigh:  s.inflight.High(),
 		StoreRecords:  s.svc.Store.Count(),
-		Endpoints:     s.metrics.Snapshot(uptime),
 	}
-	for c, p := range s.svc.Proxies() {
+	for _, rec := range s.endpoints {
+		m.Endpoints = append(m.Endpoints, rec.Snapshot(uptime))
+	}
+	slices.SortFunc(m.Endpoints, func(a, b loadstat.EndpointStats) int { return strings.Compare(a.Endpoint, b.Endpoint) })
+	for _, c := range slices.Sorted(maps.Keys(s.svc.proxies)) {
+		p := s.svc.proxies[c]
 		entries, size := p.Audit().Size()
 		m.Audit = append(m.Audit, AuditLogStats{Category: c, Proxy: p.Name(), Entries: entries, Bytes: size})
 		hits, misses, evictions := p.cache.Counts()
 		m.Cache = append(m.Cache, CacheStats{Category: c, Proxy: p.Name(), Hits: hits, Misses: misses, Evictions: evictions})
 	}
-	slices.SortFunc(m.Audit, func(a, b AuditLogStats) int { return cmp.Compare(a.Category, b.Category) })
-	slices.SortFunc(m.Cache, func(a, b CacheStats) int { return cmp.Compare(a.Category, b.Category) })
 	buf, err := json.Marshal(m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -367,7 +366,7 @@ func (s *Server) handleBreakGlass(w http.ResponseWriter, r *http.Request) {
 // which the client decoder reports as a typed truncation error.
 func (s *Server) streamFrames(w http.ResponseWriter, produce func(func([]byte, bool) error) error) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	wrote := false
 	err := produce(func(frame []byte, wait bool) error {
 		// The first Write attempt commits the 200 status even if it fails
@@ -376,8 +375,11 @@ func (s *Server) streamFrames(w http.ResponseWriter, produce func(func([]byte, b
 		if _, err := w.Write(frame); err != nil {
 			return err
 		}
-		if wait && flusher != nil {
-			flusher.Flush()
+		if wait {
+			// A writer that cannot flush has nothing to put on the wire early.
+			if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+				return err
+			}
 		}
 		return nil
 	})

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,11 +317,48 @@ func TestHTTPBreakGlassDrill(t *testing.T) {
 	}
 }
 
-// TestHTTPMetricsEndpoint pins the instrumentation surface: after a few
-// requests, /v1/metrics reports per-endpoint counts with the documented
-// labels, and error requests are counted as errors.
+// TestHTTPMetricsEndpoint pins the instrumentation surface: before any
+// request one zeroed row per Endpoint* label, in label order; after a
+// put, a denied disclosure and an audit read, exactly those ops, with the
+// denial counted as an error; and one audit and one cache row per proxy,
+// in category order.
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	h := newHTTPScenario(t)
+	labels := []string{EndpointPut, EndpointDisclose, EndpointStream, EndpointBreakGlass,
+		EndpointGrant, EndpointRevoke, EndpointAudit}
+	slices.Sort(labels)
+	cats := slices.Sorted(maps.Keys(h.svc.Proxies()))
+	metrics := func() (m *ServerMetrics, ops, errs map[string]uint64) {
+		t.Helper()
+		m = serverMetrics(t, h.client)
+		ops, errs = map[string]uint64{}, map[string]uint64{}
+		var names []string
+		for _, e := range m.Endpoints {
+			names = append(names, e.Endpoint)
+			ops[e.Endpoint], errs[e.Endpoint] = e.Ops, e.Errors
+		}
+		if !slices.Equal(names, labels) {
+			t.Fatalf("endpoint rows %q, want %q", names, labels)
+		}
+		var audit, cache []Category
+		for i := range m.Audit {
+			audit = append(audit, m.Audit[i].Category)
+		}
+		for i := range m.Cache {
+			cache = append(cache, m.Cache[i].Category)
+		}
+		if !slices.Equal(audit, cats) || !slices.Equal(cache, cats) {
+			t.Fatalf("audit rows %q, cache rows %q, want %q", audit, cache, cats)
+		}
+		return m, ops, errs
+	}
+	_, ops, errs := metrics()
+	for _, l := range labels {
+		if ops[l] != 0 || errs[l] != 0 {
+			t.Fatalf("%s before any request: ops %d, errors %d", l, ops[l], errs[l])
+		}
+	}
+
 	rec := h.sealRecord(t, "alice/m1", CategoryEmergency, []byte("x"))
 	if err := h.client.PutRecord(rec); err != nil {
 		t.Fatal(err)
@@ -329,18 +368,18 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := serverMetrics(t, h.client)
-	byEndpoint := map[string]int{}
-	errs := map[string]int{}
-	for _, e := range m.Endpoints {
-		byEndpoint[e.Endpoint] = int(e.Ops)
-		errs[e.Endpoint] = int(e.Errors)
-	}
-	if byEndpoint[EndpointPut] != 1 || byEndpoint[EndpointDisclose] != 1 || byEndpoint[EndpointAudit] != 1 {
-		t.Fatalf("endpoint ops = %+v", byEndpoint)
-	}
-	if errs[EndpointDisclose] != 1 {
-		t.Fatalf("denied disclosure not counted as error: %+v", errs)
+	m, ops, errs := metrics()
+	for _, l := range labels {
+		var wantOps, wantErrs uint64
+		switch l {
+		case EndpointPut, EndpointAudit:
+			wantOps = 1
+		case EndpointDisclose:
+			wantOps, wantErrs = 1, 1
+		}
+		if ops[l] != wantOps || errs[l] != wantErrs {
+			t.Fatalf("%s: ops %d, errors %d; want %d, %d", l, ops[l], errs[l], wantOps, wantErrs)
+		}
 	}
 	if m.InFlightHigh < 1 {
 		t.Fatalf("in-flight high-water mark = %d, want ≥ 1", m.InFlightHigh)

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"typepre/internal/hybrid"
 	"typepre/internal/ibe"
@@ -566,6 +567,28 @@ func TestHTTPStreamFlushesOnlyToWait(t *testing.T) {
 	}
 	if warm := stream(); warm.flushes != 0 {
 		t.Fatalf("warm stream flushed %d times, want 0", warm.flushes)
+	}
+}
+
+// TestHTTPInstrumentedWriterUnwraps checks that a handler registered
+// through Server.handle writes through to the connection: a
+// http.ResponseController on its writer sets a write deadline, as a
+// per-frame deadline on a stream needs, instead of ErrNotSupported.
+func TestHTTPInstrumentedWriterUnwraps(t *testing.T) {
+	srv := NewServer(NewService(StandardCategories(), NewStore()))
+	deadline := make(chan error, 1)
+	srv.handle("GET /probe", "probe", func(w http.ResponseWriter, r *http.Request) {
+		deadline <- http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute))
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := <-deadline; err != nil {
+		t.Fatalf("SetWriteDeadline through the instrumented writer: %v", err)
 	}
 }
 
